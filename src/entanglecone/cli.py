@@ -14,14 +14,7 @@ import sys
 from .blocks import SeparableEnsemble, decompose_separable
 from .classify import Budget, builtin_map, classify_map
 from .duality import BipartiteState, MatrixMap, pairing_value
-from .errors import (
-    DimensionError,
-    DomainError,
-    EntangleConeError,
-    NumericalError,
-    ParseError,
-    SearchError,
-)
+from .errors import DomainError, EntangleConeError, ParseError
 from .linalg import DEFAULT_TOL, Tolerances
 from .serialize import (
     decomposition_to_json,
@@ -57,7 +50,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser, budget: Budget) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--tol-psd",
+        type=float,
+        default=DEFAULT_TOL.psd_slack,
+        help="relative PSD slack (default 1e-9)",
+    )
+    sub.add_argument(
+        "--format", choices=("json", "text"), default="json", help="output format"
+    )
+    sub.add_argument("--out", help="also write the result JSON to this file")
+
+
+def _add_budget(sub: argparse.ArgumentParser, budget: Budget) -> None:
+    """Seed and budget flags, for the two commands that run restarts."""
     sub.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     sub.add_argument(
         "--budget-restarts",
@@ -71,16 +78,6 @@ def _add_common(sub: argparse.ArgumentParser, budget: Budget) -> None:
         default=budget.iterations,
         help=f"iterations per restart (default {budget.iterations})",
     )
-    sub.add_argument(
-        "--tol-psd",
-        type=float,
-        default=DEFAULT_TOL.psd_slack,
-        help="relative PSD slack (default 1e-9)",
-    )
-    sub.add_argument(
-        "--format", choices=("json", "text"), default="json", help="output format"
-    )
-    sub.add_argument("--out", help="also write the result JSON to this file")
 
 
 def build_parser() -> _Parser:
@@ -94,13 +91,14 @@ def build_parser() -> _Parser:
         "choi", help="canonicalize a map to its Choi representation"
     )
     choi.add_argument("map", help="map JSON file or builtin:<name>")
-    _add_common(choi, Budget())
+    _add_common(choi)
 
     classify = commands.add_parser(
         "classify-map", help="positivity and separability classification of a map"
     )
     classify.add_argument("map", help="map JSON file or builtin:<name>")
-    _add_common(classify, Budget())
+    _add_common(classify)
+    _add_budget(classify, Budget())
 
     analyze = commands.add_parser(
         "analyze-state", help="PPT test, witness battery and cross-checks for a state"
@@ -109,20 +107,21 @@ def build_parser() -> _Parser:
     analyze.add_argument(
         "--normalize", action="store_true", help="rescale the state to trace one"
     )
-    _add_common(analyze, Budget())
+    _add_common(analyze)
 
     decompose = commands.add_parser(
         "decompose", help="orthogonal block decomposition of a separable ensemble"
     )
     decompose.add_argument("ensemble", help="state JSON file with ensemble repr")
-    _add_common(decompose, Budget())
+    _add_common(decompose)
 
     search = commands.add_parser(
         "search-ppt-entangled",
         help="search for a PPT state detected by a named witness map",
     )
     search.add_argument("witness", help="builtin witness name, e.g. choi3")
-    _add_common(search, SEARCH_BUDGET)
+    _add_common(search)
+    _add_budget(search, SEARCH_BUDGET)
 
     pair = commands.add_parser(
         "pair", help="evaluate the duality pairing Tr(phi(a) b^T)"
@@ -130,7 +129,7 @@ def build_parser() -> _Parser:
     pair.add_argument("map", help="map JSON file or builtin:<name>")
     pair.add_argument("a", help="matrix JSON file for the first factor")
     pair.add_argument("b", help="matrix JSON file for the second factor")
-    _add_common(pair, Budget())
+    _add_common(pair)
 
     return parser
 
@@ -251,9 +250,6 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DomainError, DimensionError, NumericalError, SearchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except EntangleConeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -32,6 +32,19 @@ from .linalg import (
     partial_transpose,
 )
 
+# Cap on n*m, the side of a map's Choi matrix, checked before the Choi
+# matrix is allocated: at n*m = 256 it holds 65536 complex entries (1 MB),
+# while builtin:identity99 would need 9801 x 9801 (1.5 GB, and several
+# times that in the analyses).
+MAX_CHOI_DIM = 256
+
+
+def _check_choi_size(n: int, m: int) -> None:
+    if n * m > MAX_CHOI_DIM:
+        raise DimensionError(
+            f"map dims ({n}, {m}) exceed the cap n*m <= {MAX_CHOI_DIM}"
+        )
+
 
 @dataclass(eq=False)
 class HolevoForm:
@@ -144,6 +157,7 @@ class BipartiteState:
 
 def choi_from_action(n: int, m: int, action) -> MatrixMap:
     """Build a map from a callable computing phi(a) on M_n inputs."""
+    _check_choi_size(n, m)
     c4 = np.zeros((n, m, n, m), dtype=np.complex128)
     for i in range(n):
         for j in range(n):
@@ -228,6 +242,7 @@ def kraus_to_map(ops) -> MatrixMap:
     if not ops:
         raise DomainError("need at least one Kraus operator")
     m, n = ops[0].shape
+    _check_choi_size(n, m)
     c4 = np.zeros((n, m, n, m), dtype=np.complex128)
     for v in ops:
         if v.shape != (m, n):
@@ -242,6 +257,7 @@ def holevo_to_map(form: HolevoForm) -> MatrixMap:
     C_phi = sum_k omega_k^T (x) b_k, separable by construction.
     """
     n, m = form.dim_in, form.dim_out
+    _check_choi_size(n, m)
     choi = np.zeros((n * m, n * m), dtype=np.complex128)
     for omega, b in form.terms:
         choi += kron(omega.T, b)
@@ -253,9 +269,22 @@ def state_from_map(f: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> BipartiteStat
 
     The density is the global transpose of the Choi matrix; it is PSD
     exactly when the map is completely positive, so non-CP maps are
-    rejected here.
+    rejected here. The PSD verdict at the default slack is the one
+    BipartiteState takes; a second spectrum is taken only at another
+    tolerance, or to name the witness of a rejection.
     """
     density = f.choi.T.copy()
+    try:
+        state = BipartiteState((f.dim_in, f.dim_out), density)
+    except DomainError:
+        _require_cp_density(density, tol)
+        raise
+    if tol != DEFAULT_TOL:
+        _require_cp_density(density, tol)
+    return state
+
+
+def _require_cp_density(density: np.ndarray, tol: Tolerances) -> None:
     ok, witness = is_psd(density, tol)
     if not ok:
         err = DomainError(
@@ -263,7 +292,6 @@ def state_from_map(f: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> BipartiteStat
         )
         err.witness = witness
         raise err
-    return BipartiteState((f.dim_in, f.dim_out), density)
 
 
 def map_from_state(s: BipartiteState) -> MatrixMap:
@@ -307,6 +335,7 @@ def maximally_entangled(n: int) -> BipartiteState:
 def identity_map(n: int) -> MatrixMap:
     """The identity on M_n; its Choi matrix is n times the maximally
     entangled projection."""
+    _check_choi_size(n, n)
     c4 = np.zeros((n, n, n, n), dtype=np.complex128)
     for i in range(n):
         for j in range(n):
@@ -316,6 +345,7 @@ def identity_map(n: int) -> MatrixMap:
 
 def transpose_map(n: int) -> MatrixMap:
     """The transpose on M_n; its Choi matrix is the swap operator."""
+    _check_choi_size(n, n)
     c4 = np.zeros((n, n, n, n), dtype=np.complex128)
     for i in range(n):
         for j in range(n):

@@ -33,7 +33,3 @@ class NumericalError(EntangleConeError):
     Raised when two routes to the same quantity disagree, which points
     at a numerical breakdown or a bug rather than bad user input.
     """
-
-
-class SearchError(EntangleConeError):
-    """An iterative search exhausted its budget without a certificate."""

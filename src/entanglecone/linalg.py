@@ -188,13 +188,13 @@ def support_projection(
 
     Eigenvalues at or below the slack threshold count as zero, so the
     support of a numerically tiny perturbation of ``p`` is ``p`` again.
+    The one spectrum also gives the is_psd verdict.
     """
     a = as_matrix(x)
-    ok, _ = is_psd(a, tol)
-    if not ok:
-        raise DomainError("support projection requires a PSD matrix")
     w, v = hermitian_eigen(a, tol)
     cut = tol.psd_slack * max(1.0, frob(a))
+    if w[-1] < -cut:
+        raise DomainError("support projection requires a PSD matrix")
     keep = v[:, w > cut]
     return keep @ keep.conj().T
 

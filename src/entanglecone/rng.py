@@ -2,10 +2,9 @@
 
 All stochastic routines in this package draw from SplitMix64 streams
 derived from ``(seed, stream index)``. The derivation is a pure
-function, so restart ``k`` of a search produces the same vectors no
-matter how many worker threads run, in which order they finish, or on
-which platform the process runs. That property is what makes the CLI
-output byte-identical across runs and thread counts.
+function, so restart ``k`` of a search produces the same vectors
+whatever the order in which restarts run, and on every platform. That
+property is what makes the CLI output byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -79,11 +78,6 @@ def derive_stream(seed: int, index: int) -> SplitMix64:
         raise ValueError("stream index must be nonnegative")
     child = _mix((seed & _MASK) ^ _mix(((index + 1) * _GAMMA) & _MASK))
     return SplitMix64(child)
-
-
-def derive_int_seed(seed: int, index: int) -> int:
-    """64-bit integer usable as a seed for auxiliary generators."""
-    return derive_stream(seed, index).next_u64()
 
 
 def gaussian_complex_matrix(stream: SplitMix64, rows: int, cols: int) -> np.ndarray:

@@ -8,6 +8,7 @@ a nondecomposable witness, the interesting corner of the theory.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -36,7 +37,6 @@ from .linalg import (
     partial_transpose,
     transpose_second,
 )
-from .parallel import run_indexed
 from .rng import SplitMix64, derive_stream, gaussian_complex_matrix
 
 logger = logging.getLogger(__name__)
@@ -45,8 +45,9 @@ CERTIFIED_ENTANGLED = "certified-entangled"
 CERTIFIED_SEPARABLE = "certified-separable"
 INCONCLUSIVE = "inconclusive"
 
-# Internal stream label for the random copositive cross-check maps.
+# Internal stream label and count of the random copositive cross-check maps.
 _PPT_CROSSCHECK_SEED = 0x9D7C
+_PPT_CROSSCHECK_SAMPLES = 20
 # Number of pure products mixed into each search starting point.
 _INIT_PRODUCT_TERMS = 4
 _INIT_INTERIOR_WEIGHT = 0.1
@@ -69,10 +70,55 @@ _DYKSTRA_MEMORY = 16
 SEARCH_BUDGET = Budget(restarts=16, iterations=200)
 
 
+def _ppt_spectra(
+    s: BipartiteState, tol: Tolerances
+) -> tuple[bool, float, np.ndarray, bool]:
+    """One spectrum per partial transpose of the state.
+
+    Returns the second-factor verdict, its least eigenvalue and the
+    matching eigenvector, and the first-factor verdict. The first-factor
+    partial transpose of the density is, entry for entry, the
+    second-factor partial transpose of its global transpose: the
+    copositivity test of the dual map.
+    """
+    pt = partial_transpose(s.density, s.dims, "second")
+    low, vec = min_eigenpair(pt, tol)
+    ok = low >= -tol.psd_slack * max(1.0, frob(pt))
+    ok_first, _ = is_psd(partial_transpose(s.density, s.dims, "first"), tol)
+    return ok, low, vec, ok_first
+
+
+@functools.lru_cache(maxsize=8)
+def _crosscheck_maps(m: int) -> tuple[MatrixMap, ...]:
+    """Random copositive maps on M_m, fixed by _PPT_CROSSCHECK_SEED."""
+    maps = []
+    for k in range(_PPT_CROSSCHECK_SAMPLES):
+        stream = derive_stream(_PPT_CROSSCHECK_SEED, k)
+        ops = [gaussian_complex_matrix(stream, m, m) for _ in range(2)]
+        maps.append(post_transpose(kraus_to_map(ops)))
+    return tuple(maps)
+
+
+def _crosscheck_ppt(
+    s: BipartiteState, ok: bool, ok_first: bool, tol: Tolerances
+) -> None:
+    if ok != ok_first:
+        raise NumericalError(
+            "partial transposes on the two factors disagree about positivity"
+        )
+    if ok:
+        for copositive_map in _crosscheck_maps(s.dims[1]):
+            out = hermitian_part(apply_to_second(s.density, s.dims, copositive_map))
+            out_ok, _ = is_psd(out, tol)
+            if not out_ok:
+                raise NumericalError(
+                    "a random copositive map produced a negative output "
+                    "on a state that passed the partial-transpose test"
+                )
+
+
 def ppt_check(
-    s: BipartiteState,
-    tol: Tolerances = DEFAULT_TOL,
-    crosscheck_samples: int = 20,
+    s: BipartiteState, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, np.ndarray | None]:
     """Partial-transpose test with two independent cross-checks.
 
@@ -83,30 +129,9 @@ def ppt_check(
     factor must give PSD outputs. Either cross-check failing raises
     NumericalError, since both are theorems.
     """
-    pt = partial_transpose(s.density, s.dims, "second")
-    ok, witness = is_psd(pt, tol)
-
-    pt_first = partial_transpose(s.density, s.dims, "first")
-    ok_first, _ = is_psd(pt_first, tol)
-    if ok != ok_first:
-        raise NumericalError(
-            "partial transposes on the two factors disagree about positivity"
-        )
-
-    if ok:
-        m = s.dims[1]
-        for k in range(crosscheck_samples):
-            stream = derive_stream(_PPT_CROSSCHECK_SEED, k)
-            ops = [gaussian_complex_matrix(stream, m, m) for _ in range(2)]
-            copositive_map = post_transpose(kraus_to_map(ops))
-            out = hermitian_part(apply_to_second(s.density, s.dims, copositive_map))
-            out_ok, _ = is_psd(out, tol)
-            if not out_ok:
-                raise NumericalError(
-                    "a random copositive map produced a negative output "
-                    "on a state that passed the partial-transpose test"
-                )
-    return ok, witness
+    ok, _, vec, ok_first = _ppt_spectra(s, tol)
+    _crosscheck_ppt(s, ok, ok_first, tol)
+    return ok, None if ok else vec
 
 
 @dataclass(eq=False)
@@ -148,9 +173,9 @@ def witness_battery(
     """
     n, m = s.dims
     lib = lib if lib is not None else default_witness_library(m)
-    pt = partial_transpose(s.density, s.dims, "second")
-    ppt_eig, _ = min_eigenpair(pt, tol)
-    ppt, ppt_witness = ppt_check(s, tol)
+    ppt, ppt_eig, ppt_vec, copositive_dual = _ppt_spectra(s, tol)
+    _crosscheck_ppt(s, ppt, copositive_dual, tol)
+    ppt_witness = None if ppt else ppt_vec
 
     hits: list[WitnessHit] = []
     for name, psi in lib.entries:
@@ -204,7 +229,7 @@ def witness_battery(
         certificate_vector=cert_vec,
         certificate_value=cert_val,
         hits=tuple(hits),
-        peres_crosscheck=peres_equivalence(s, tol),
+        peres_crosscheck=_peres(s, ppt, copositive_dual, tol),
     )
 
 
@@ -237,12 +262,15 @@ def peres_equivalence(s: BipartiteState, tol: Tolerances = DEFAULT_TOL) -> bool:
     positivity plus copositivity of the dual map. Always true
     mathematically; a False return is a bug detector.
     """
-    pt = partial_transpose(s.density, s.dims, "second")
-    state_side, _ = is_psd(pt, tol)
-    f = map_from_state(s)
-    cp, _ = is_cp(f, tol)
-    cop, _ = is_copositive(f, tol)
-    return state_side == (cp and cop)
+    ok, _, _, copositive_dual = _ppt_spectra(s, tol)
+    return _peres(s, ok, copositive_dual, tol)
+
+
+def _peres(
+    s: BipartiteState, ppt: bool, copositive_dual: bool, tol: Tolerances
+) -> bool:
+    cp, _ = is_cp(map_from_state(s), tol)
+    return ppt == (cp and copositive_dual)
 
 
 def random_product_mixture(
@@ -411,7 +439,6 @@ def search_ppt_entangled(
     budget: Budget = SEARCH_BUDGET,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
-    dim_first: int | None = None,
     witness_name: str = "witness",
 ) -> SearchResult:
     """Maximize the witness violation over the PPT spectrahedron.
@@ -424,8 +451,7 @@ def search_ppt_entangled(
     provably impossible; the ascent then stalls at zero and the caller
     sees a non-finding result rather than an error.
     """
-    n = dim_first if dim_first is not None else witness.dim_in
-    m = witness.dim_in
+    n = m = witness.dim_in
     dims = (n, m)
     adjoint = map_adjoint(witness)
 
@@ -490,7 +516,7 @@ def search_ppt_entangled(
             best = max(best, viol)
         return _RestartOutcome(viol, h, converged, iterations, r)
 
-    outcomes = run_indexed(one_restart, budget.restarts)
+    outcomes = [one_restart(r) for r in range(budget.restarts)]
     winner = min(outcomes, key=lambda o: (-o.violation, o.restart))
     total_iterations = sum(o.iterations for o in outcomes)
 

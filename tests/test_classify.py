@@ -61,6 +61,11 @@ def test_is_copositive_examples():
     assert not ok
 
 
+def test_is_copositive_diagonalises_once(eigh_inputs):
+    is_copositive(builtin_choi_map())
+    assert len(eigh_inputs) == 1
+
+
 def test_cp_copositive_compose_identity():
     # f cp iff t o f copositive, definitionally, so verdicts agree exactly.
     stream = derive_stream(302, 0)

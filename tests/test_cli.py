@@ -181,6 +181,24 @@ def test_usage_errors(capsys):
     assert "usage error" in err
 
 
+def test_choi_rejects_search_flags(capsys):
+    assert main(["choi", "builtin:identity2", "--seed", "1"]) == 1
+    capsys.readouterr()
+
+
+def test_oversized_maps_exit_3(tmp_path, capsys):
+    assert main(["classify-map", "builtin:identity99"]) == 3
+    # Declared dims are small; the operator alone implies n*m = 272.
+    kraus = {
+        "dim_in": 2,
+        "dim_out": 2,
+        "repr": "kraus",
+        "kraus": [matrix_to_json(np.zeros((17, 16), dtype=complex))],
+    }
+    assert main(["choi", _write(tmp_path / "big.json", kraus)]) == 3
+    assert "n*m <= 256" in capsys.readouterr().err
+
+
 def test_parse_errors(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["choi", missing]) == 2

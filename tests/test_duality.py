@@ -24,7 +24,14 @@ from entanglecone.duality import (
     transpose_map,
 )
 from entanglecone.errors import DimensionError, DomainError
-from entanglecone.linalg import e_matrix, frob, kron, partial_trace, partial_transpose
+from entanglecone.linalg import (
+    Tolerances,
+    e_matrix,
+    frob,
+    kron,
+    partial_trace,
+    partial_transpose,
+)
 from entanglecone.rng import (
     derive_stream,
     gaussian_complex_matrix,
@@ -194,6 +201,38 @@ def test_state_from_map_rejects_non_cp_with_witness():
     assert witness is not None
     value = (witness.conj() @ f.choi.T @ witness).real
     assert value < -1e-9
+
+
+def test_state_from_map_one_spectrum_and_tolerances(eigh_inputs):
+    f = identity_map(2)
+    state_from_map(f)
+    assert len(eigh_inputs) == 1
+    # Negative beyond the default slack, within a looser one: the
+    # looser tolerance accepts the map, the state check still rejects it.
+    dip = MatrixMap(2, 2, f.choi - 1e-7 * np.eye(4))
+    with pytest.raises(DomainError) as info:
+        state_from_map(dip)
+    assert getattr(info.value, "witness", None) is not None
+    with pytest.raises(DomainError, match="state density is not PSD"):
+        state_from_map(dip, Tolerances(psd_slack=1e-6))
+    with pytest.raises(DomainError) as info:
+        state_from_map(dip, Tolerances(psd_slack=1e-12))
+    assert getattr(info.value, "witness", None) is not None
+
+
+def test_choi_size_cap_checked_before_allocation():
+    # Each of these would allocate a Choi matrix with n*m > 256.
+    with pytest.raises(DimensionError):
+        identity_map(17)
+    with pytest.raises(DimensionError):
+        transpose_map(99)
+    with pytest.raises(DimensionError):
+        choi_from_action(1, 257, lambda a: pytest.fail("action evaluated"))
+    with pytest.raises(DimensionError):
+        kraus_to_map([np.zeros((257, 1))])
+    with pytest.raises(DimensionError):
+        holevo_to_map(HolevoForm(((np.eye(17), np.eye(16)),)))
+    assert identity_map(16).choi.shape == (256, 256)
 
 
 def test_map_state_roundtrip_exact():

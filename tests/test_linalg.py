@@ -209,6 +209,13 @@ def test_support_projection_rank_and_range():
     assert abs(np.trace(p).real - 1.0) < 1e-12
 
 
+def test_support_projection_diagonalises_once(eigh_inputs):
+    support_projection(np.diag([2.0, 0.0, 1.0]).astype(complex))
+    assert len(eigh_inputs) == 1
+    with pytest.raises(DomainError):
+        support_projection(np.diag([2.0, -1e-3, 1.0]).astype(complex))
+
+
 def test_projections_orthogonal():
     p = np.diag([1.0, 0.0]).astype(complex)
     q = np.diag([0.0, 1.0]).astype(complex)

@@ -2,7 +2,6 @@ import numpy as np
 
 from entanglecone.rng import (
     SplitMix64,
-    derive_int_seed,
     derive_stream,
     gaussian_complex_matrix,
     random_density,
@@ -60,13 +59,6 @@ def test_derive_stream_reproducible_and_distinct():
     assert seq_a == [b.next_u64() for _ in range(4)]
     assert seq_a != [c.next_u64() for _ in range(4)]
     assert seq_a != [d.next_u64() for _ in range(4)]
-
-
-def test_derive_int_seed_matches_stream_state():
-    s1 = derive_int_seed(5, 9)
-    s2 = derive_int_seed(5, 9)
-    assert s1 == s2
-    assert 0 <= s1 < (1 << 64)
 
 
 def test_random_unitary_is_unitary():

@@ -1,12 +1,19 @@
 import logging
 
 import numpy as np
+import pytest
 
 from entanglecone import states
-from entanglecone.classify import Budget, WitnessLibrary, builtin_choi_map
+from entanglecone.classify import (
+    Budget,
+    WitnessLibrary,
+    builtin_choi_map,
+    default_witness_library,
+)
 from entanglecone.duality import (
     BipartiteState,
     HolevoForm,
+    MatrixMap,
     apply_to_second,
     holevo_to_map,
     identity_map,
@@ -15,6 +22,7 @@ from entanglecone.duality import (
     state_from_map,
     transpose_map,
 )
+from entanglecone.errors import NumericalError
 from entanglecone.linalg import (
     hermitian_part,
     is_psd,
@@ -68,6 +76,71 @@ def test_ppt_check_product_mixtures_always_pass():
         h = random_product_mixture(stream, 2, 3, 4)
         ok, _ = ppt_check(BipartiteState((2, 3), h))
         assert ok
+
+
+def _equal_count(arrays, x):
+    return sum(1 for a in arrays if a.shape == x.shape and np.array_equal(a, x))
+
+
+def test_battery_diagonalises_each_partial_transpose_once(eigh_inputs):
+    # A complex state: for a real one the two partial transposes coincide.
+    s = BipartiteState((3, 3), random_pure_mixture(derive_stream(409, 0), 9, 2))
+    lib = default_witness_library(3)
+    witness_battery(s, lib)
+    eigh_inputs.clear()
+    report = witness_battery(s, lib)
+    first = hermitian_part(partial_transpose(s.density, s.dims, "first"))
+    second = hermitian_part(partial_transpose(s.density, s.dims, "second"))
+    assert not np.array_equal(first, second)
+    assert _equal_count(eigh_inputs, first) == 1
+    # Once for the verdict, once as the transpose3 witness.
+    assert _equal_count(eigh_inputs, second) == 2
+    assert report.peres_crosscheck
+
+
+def _ppt_product_state():
+    e11 = np.diag([1.0, 0.0]).astype(complex)
+    return BipartiteState((2, 2), kron(e11, np.eye(2, dtype=complex) / 2.0))
+
+
+def test_first_factor_fault_raises(monkeypatch):
+    real = states.partial_transpose
+
+    def faulty(x, dims, side="second"):
+        out = real(x, dims, side)
+        return -out if side == "first" else out
+
+    monkeypatch.setattr(states, "partial_transpose", faulty)
+    s = _ppt_product_state()
+    with pytest.raises(NumericalError, match="two factors"):
+        ppt_check(s)
+    with pytest.raises(NumericalError, match="two factors"):
+        witness_battery(s)
+
+
+def test_copositive_crosscheck_fault_raises(monkeypatch):
+    # Negated CP maps stand in for the random copositive maps.
+    monkeypatch.setattr(
+        states, "post_transpose", lambda f: MatrixMap(f.dim_in, f.dim_out, -f.choi)
+    )
+    states._crosscheck_maps.cache_clear()
+    try:
+        with pytest.raises(NumericalError, match="random copositive map"):
+            ppt_check(_ppt_product_state())
+    finally:
+        states._crosscheck_maps.cache_clear()
+
+
+def test_transpose_route_fault_fails_peres(monkeypatch):
+    # The dual map rebuilt with a negated Choi matrix is not CP.
+    monkeypatch.setattr(
+        states,
+        "map_from_state",
+        lambda s: MatrixMap(*s.dims, -s.density.T),
+    )
+    s = _ppt_product_state()
+    assert not peres_equivalence(s)
+    assert not witness_battery(s).peres_crosscheck
 
 
 def test_witness_battery_detects_maximally_entangled():
