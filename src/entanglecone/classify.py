@@ -33,9 +33,9 @@ from .linalg import (
     Tolerances,
     as_matrix,
     frob,
+    hermitian_eigen,
     hermitian_part,
     is_psd,
-    min_eigenpair,
     partial_transpose,
 )
 from .rng import derive_stream, random_unitary
@@ -55,6 +55,12 @@ EB_NOT_APPLICABLE = "not-applicable"
 _LIBRARY_SEED = 0x1BCE11
 
 
+# Cap on Budget.restarts: block_positivity_minimize holds every restart's
+# vectors in one stack, so the cap bounds its memory before any stream
+# is derived.
+MAX_RESTARTS = 4096
+
+
 @dataclass(frozen=True)
 class Budget:
     """Restart and iteration caps for the product-vector minimizer."""
@@ -65,6 +71,10 @@ class Budget:
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.iterations < 1:
             raise DomainError("budget must allow at least one restart and iteration")
+        if self.restarts > MAX_RESTARTS:
+            raise DomainError(
+                f"budget allows at most {MAX_RESTARTS} restarts, got {self.restarts}"
+            )
 
 
 DEFAULT_BUDGET = Budget()
@@ -81,16 +91,6 @@ class BlockMinimum:
     restart: int
 
 
-def _compress_second(c4: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The m x m compression (x* (x) I) C (x (x) I)."""
-    return np.einsum("i,ikjl,j->kl", x.conj(), c4, x)
-
-
-def _compress_first(c4: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The n x n compression (I (x) y*) C (I (x) y)."""
-    return np.einsum("k,ikjl,l->ij", y.conj(), c4, y)
-
-
 def block_positivity_minimize(
     c: np.ndarray,
     dims: tuple[int, int],
@@ -101,11 +101,14 @@ def block_positivity_minimize(
     """Minimize <x (x) y, C (x (x) y)> over unit product vectors.
 
     Alternating eigenvector iteration: with x fixed, the optimal y is
-    the bottom eigenvector of the second-factor compression, and vice
-    versa, so each half-step is exact and the value never increases.
-    Restarts draw x from streams derived from (seed, restart index) and
-    the winner is picked by (value, restart index), which makes the
-    result independent of execution order.
+    the bottom eigenvector of the second-factor compression
+    (x* (x) I) C (x (x) I), and vice versa, so each half-step is exact
+    and the value never increases. Restarts draw x from streams derived
+    from (seed, restart index) and advance together as one stack: each
+    half-step compresses and diagonalises every active restart at once,
+    and a restart leaves the active set in the iteration where its
+    value stops changing. The winner is picked by (value, restart
+    index), which makes the result independent of execution order.
     """
     n, m = dims
     c = as_matrix(c)
@@ -114,24 +117,36 @@ def block_positivity_minimize(
     c4 = c.reshape(n, m, n, m)
     scale = max(1.0, frob(c))
 
-    def one_restart(r: int) -> BlockMinimum:
-        stream = derive_stream(seed, r)
-        x = stream.complex_unit_vector(n)
-        value = np.inf
-        y = np.zeros(m, dtype=np.complex128)
-        converged = False
-        for _ in range(budget.iterations):
-            new_value, y = min_eigenpair(hermitian_part(_compress_second(c4, x)), tol)
-            _, x = min_eigenpair(hermitian_part(_compress_first(c4, y)), tol)
-            if abs(value - new_value) < tol.convergence * scale:
-                value = new_value
-                converged = True
-                break
-            value = new_value
-        return BlockMinimum(float(value), x, y, converged, r)
+    restarts = budget.restarts
+    x = np.stack(
+        [derive_stream(seed, r).complex_unit_vector(n) for r in range(restarts)]
+    )
+    y = np.zeros((restarts, m), dtype=np.complex128)
+    value = np.full(restarts, np.inf)
+    converged = np.zeros(restarts, dtype=bool)
+    active = np.arange(restarts)
+    for _ in range(budget.iterations):
+        xa = x[active]
+        w, v = hermitian_eigen(
+            hermitian_part(np.einsum("ri,ikjl,rj->rkl", xa.conj(), c4, xa)), tol
+        )
+        new_value, ya = w[:, -1], v[:, :, -1]
+        _, v = hermitian_eigen(
+            hermitian_part(np.einsum("rk,ikjl,rl->rij", ya.conj(), c4, ya)), tol
+        )
+        x[active] = v[:, :, -1]
+        y[active] = ya
+        done = np.abs(value[active] - new_value) < tol.convergence * scale
+        value[active] = new_value
+        converged[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
+            break
 
-    results = [one_restart(r) for r in range(budget.restarts)]
-    return min(results, key=lambda b: (b.value, b.restart))
+    best = int(np.argmin(value))  # the first minimum: the lowest restart index
+    return BlockMinimum(
+        float(value[best]), x[best], y[best], bool(converged[best]), best
+    )
 
 
 def is_cp(

@@ -169,8 +169,9 @@ def _cmd_choi(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    budget = _budget(args)  # reject an oversized budget before any work
     f = _resolve_map(args.map)
-    report = classify_map(f, _budget(args), args.seed, _tolerances(args))
+    report = classify_map(f, budget, args.seed, _tolerances(args))
     _emit(map_report_to_json(report), args)
     return EXIT_OK
 
@@ -198,13 +199,14 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    budget = _budget(args)  # reject an oversized budget before any work
     try:
         witness = builtin_map(args.witness)
     except DomainError as exc:
         raise _UsageError(str(exc)) from exc
     result = search_ppt_entangled(
         witness,
-        budget=_budget(args),
+        budget=budget,
         seed=args.seed,
         tol=_tolerances(args),
         witness_name=args.witness,

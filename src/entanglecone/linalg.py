@@ -45,12 +45,15 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-def as_matrix(x, square: bool = True) -> np.ndarray:
-    """Coerce to a finite complex 2-D array, validating shape."""
+def as_matrix(x, square: bool = True, stacked: bool = False) -> np.ndarray:
+    """Coerce to a finite complex 2-D array, validating shape.
+
+    With ``stacked`` a stack of matrices ``(..., k, l)`` is accepted too.
+    """
     a = np.asarray(x, dtype=np.complex128)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stacked and a.ndim > 2):
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
-    if square and a.shape[0] != a.shape[1]:
+    if square and a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a)):
         raise DomainError("matrix contains non-finite entries")
@@ -62,11 +65,12 @@ def frob(x: np.ndarray) -> float:
 
 
 def hermitian_part(x: np.ndarray) -> np.ndarray:
-    return (x + x.conj().T) / 2.0
+    return (x + x.conj().swapaxes(-1, -2)) / 2.0
 
 
-def hermitian_deviation(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x - x.conj().T))
+def hermitian_deviation(x: np.ndarray) -> float | np.ndarray:
+    """Frobenius distance to the adjoint, per matrix for a stack."""
+    return np.linalg.norm(x - x.conj().swapaxes(-1, -2), axis=(-2, -1))
 
 
 def e_matrix(i: int, j: int, n: int) -> np.ndarray:
@@ -134,26 +138,30 @@ def partial_trace(
 def hermitian_eigen(
     x: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a Hermitian matrix.
+    """Full eigendecomposition of a Hermitian matrix or a stack of them.
 
     Returns ``(w, V)`` with eigenvalues ``w`` sorted descending and the
-    matching unit eigenvectors in the columns of ``V``. Raises
-    DomainError when the input is not Hermitian within tolerance and
-    NumericalError when the residual check fails afterwards.
+    matching unit eigenvectors in the columns of ``V``; a stack
+    ``(..., k, k)`` gives ``w`` of shape ``(..., k)`` and ``V`` of
+    shape ``(..., k, k)``, each slice equal to the call on that matrix.
+    Raises DomainError when any matrix is not Hermitian within
+    tolerance and NumericalError when the residual check fails
+    afterwards; each matrix is measured against its own norm.
     """
-    a = as_matrix(x)
-    if hermitian_deviation(a) > tol.convergence * frob(a):
+    a = as_matrix(x, stacked=True)
+    norm = np.linalg.norm(a, axis=(-2, -1))
+    if (hermitian_deviation(a) > tol.convergence * norm).any():
         raise DomainError("matrix is not Hermitian within tolerance")
     # Symmetrize to absorb roundoff before handing to the solver.
     h = hermitian_part(a)
     w, v = np.linalg.eigh(h)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    v = v[:, order]
-    residual = np.linalg.norm(h @ v - v * w)
-    if residual > tol.convergence * max(1.0, frob(a)):
+    # eigh returns eigenvalues in ascending order.
+    w = np.ascontiguousarray(w[..., ::-1])
+    v = np.ascontiguousarray(v[..., ::-1])
+    residual = np.linalg.norm(h @ v - v * w[..., np.newaxis, :], axis=(-2, -1))
+    if (residual > tol.convergence * np.maximum(1.0, norm)).any():
         raise NumericalError(
-            f"eigendecomposition residual {residual:.3e} exceeds tolerance"
+            f"eigendecomposition residual {np.max(residual):.3e} exceeds tolerance"
         )
     return w, v
 

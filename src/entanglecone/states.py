@@ -25,7 +25,7 @@ from .duality import (
     maximally_entangled_matrix,
     post_transpose,
 )
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError, DomainError, NumericalError
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -169,9 +169,16 @@ def witness_battery(
     A separable certificate attached by the caller (states built from
     an explicit product ensemble) turns the verdict into
     certified-separable; such a state hitting any witness means a bug,
-    not a result, and raises NumericalError.
+    not a result, and raises NumericalError. A density that is not PSD
+    within tol's slack raises DomainError.
     """
     n, m = s.dims
+    if tol != DEFAULT_TOL:
+        # BipartiteState checked PSD at the default slack; the hits below
+        # use tol's, so a density that dips below that slack is no state.
+        ok, _ = is_psd(s.density, tol)
+        if not ok:
+            raise DomainError("state density is not PSD within tolerance")
     lib = lib if lib is not None else default_witness_library(m)
     ppt, ppt_eig, ppt_vec, copositive_dual = _ppt_spectra(s, tol)
     _crosscheck_ppt(s, ppt, copositive_dual, tol)

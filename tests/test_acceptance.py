@@ -13,6 +13,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from entanglecone.blocks import (
     SeparableEnsemble,
@@ -360,6 +361,7 @@ def test_criterion_8_eigensolver_matches_charpoly_oracle():
     )
 
 
+@pytest.mark.usefixtures("package_on_pythonpath")
 def test_criterion_9_byte_determinism_across_threads():
     base = [sys.executable, "-m", "entanglecone"]
     reduced = ["--seed", "3", "--budget-restarts", "4", "--budget-iters", "40"]

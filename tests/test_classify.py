@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entanglecone.classify import (
+    MAX_RESTARTS,
     Budget,
     block_positivity_minimize,
     builtin_choi_map,
@@ -14,6 +17,7 @@ from entanglecone.classify import (
 )
 from entanglecone.duality import (
     HolevoForm,
+    MatrixMap,
     apply_map,
     choi_from_action,
     holevo_to_map,
@@ -23,8 +27,20 @@ from entanglecone.duality import (
     transpose_map,
 )
 from entanglecone.errors import DomainError
-from entanglecone.linalg import frob, kron, partial_transpose
-from entanglecone.rng import derive_stream, gaussian_complex_matrix, random_density
+from entanglecone.linalg import (
+    DEFAULT_TOL,
+    frob,
+    hermitian_part,
+    kron,
+    min_eigenpair,
+    partial_transpose,
+)
+from entanglecone.rng import (
+    derive_stream,
+    gaussian_complex_matrix,
+    random_density,
+    random_hermitian,
+)
 
 _FAST = Budget(restarts=8, iterations=100)
 
@@ -236,3 +252,81 @@ def test_default_witness_library_contents():
 def test_budget_validation():
     with pytest.raises(DomainError):
         Budget(restarts=0, iterations=10)
+    with pytest.raises(DomainError):
+        Budget(restarts=MAX_RESTARTS + 1, iterations=10)
+    assert Budget(restarts=MAX_RESTARTS, iterations=10).restarts == MAX_RESTARTS
+
+
+def _per_restart_minimize(c, dims, budget, seed):
+    """Each restart as its own loop of 2-D eigensolves, one after another.
+
+    Returns (value, restart, x, y, converged) for every restart.
+    """
+    n, m = dims
+    c4 = c.reshape(n, m, n, m)
+    scale = max(1.0, frob(c))
+    runs = []
+    for r in range(budget.restarts):
+        x = derive_stream(seed, r).complex_unit_vector(n)
+        value, converged = np.inf, False
+        for _ in range(budget.iterations):
+            second = np.einsum("i,ikjl,j->kl", x.conj(), c4, x)
+            new_value, y = min_eigenpair(hermitian_part(second))
+            first = np.einsum("k,ikjl,l->ij", y.conj(), c4, y)
+            _, x = min_eigenpair(hermitian_part(first))
+            converged = abs(value - new_value) < DEFAULT_TOL.convergence * scale
+            value = new_value
+            if converged:
+                break
+        runs.append((value, r, x, y, converged))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["choi3-capped", "dims-2x3", "dims-3x2", "random-9x9", "all-tied"],
+)
+def test_lockstep_minimizer_matches_per_restart_loops(case):
+    budget, seed = Budget(restarts=6, iterations=200), 11
+    if case == "choi3-capped":
+        c, dims = builtin_choi_map().choi, (3, 3)
+        budget, seed = Budget(restarts=16, iterations=500), 5
+    elif case == "random-9x9":
+        c, dims = random_hermitian(derive_stream(311, 0), 9), (3, 3)
+    elif case == "all-tied":
+        # Every restart ends at exactly 0.0; the lowest index must win.
+        c, dims = np.zeros((9, 9), dtype=complex), (3, 3)
+    else:
+        dims = (2, 3) if case == "dims-2x3" else (3, 2)
+        c = random_hermitian(derive_stream(312, dims[0]), 6)
+    runs = _per_restart_minimize(c, dims, budget, seed)
+    if case == "choi3-capped":
+        # Restarts leave the stack at different iterations, some at the cap.
+        assert {run[4] for run in runs} == {True, False}
+    value, restart, x, y, converged = min(runs, key=lambda run: run[:2])
+    result = block_positivity_minimize(c, dims, budget, seed)
+    assert result.restart == restart
+    assert result.converged == converged
+    assert result.value == value
+    assert np.array_equal(result.x, x)
+    assert np.array_equal(result.y, y)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([2, 3]),
+    m=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-3, 3),
+)
+def test_block_minimum_certificate_holds_at_the_returned_vectors(n, m, seed, exponent):
+    c = 10.0**exponent * random_hermitian(derive_stream(seed, 0), n * m)
+    budget = Budget(restarts=4, iterations=100)
+    result = block_positivity_minimize(c, (n, m), budget, seed)
+    assert abs(np.linalg.norm(result.x) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(result.y) - 1.0) < 1e-12
+    at_vectors = verify_block_value(MatrixMap(n, m, c), result.x, result.y)
+    slack = 1e-9 * max(1.0, frob(c))
+    assert at_vectors <= result.value + slack
+    if result.converged:
+        assert abs(at_vectors - result.value) <= slack

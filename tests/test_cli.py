@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from entanglecone.cli import main
 from entanglecone.duality import maximally_entangled_matrix
@@ -224,6 +225,7 @@ def test_tolerance_validation_exit(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.usefixtures("package_on_pythonpath")
 def test_console_module_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "entanglecone", "choi", "builtin:identity2"],
@@ -251,3 +253,38 @@ def test_search_finds_state_quickly(capsys):
     assert code in (0, 4)
     state = state_document_from_json(doc["state"])
     assert state.dims == (3, 3)
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("restart work started before the budget was checked")
+
+
+def test_oversized_restart_budget_exits_before_any_work(monkeypatch, capsys):
+    import entanglecone.classify
+    import entanglecone.cli
+    import entanglecone.states
+
+    # Resolving builtin:choi3 runs the minimizer, so it must come later too.
+    monkeypatch.setattr(entanglecone.cli, "builtin_map", _refuse)
+    monkeypatch.setattr(entanglecone.classify, "derive_stream", _refuse)
+    monkeypatch.setattr(entanglecone.states, "derive_stream", _refuse)
+    assert main(["classify-map", "builtin:choi3", "--budget-restarts", "5000"]) == 3
+    assert main(["search-ppt-entangled", "choi3", "--budget-restarts", "5000"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("at most 4096 restarts") == 2
+
+
+def test_analyze_rejects_density_below_requested_slack(tmp_path, capsys):
+    # Separable but for a -5e-10 dip: within the default slack 1e-9, not
+    # within 1e-12, where the identity witness would otherwise "detect" it.
+    doc = {
+        "dims": [2, 2],
+        "repr": "density",
+        "density": matrix_to_json(np.diag([0.5, 0.5, 0.0, -5e-10]).astype(complex)),
+    }
+    path = _write(tmp_path / "dip.json", doc)
+    code, out = _run(capsys, ["analyze-state", path, "--tol-psd", "1e-12"])
+    assert code == 3 and out == ""
+    code, out = _run(capsys, ["analyze-state", path])
+    assert code == 0
+    assert json.loads(out)["entanglement"] == "inconclusive"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entanglecone.errors import DimensionError, DomainError
+from entanglecone.errors import DimensionError, DomainError, NumericalError
 from entanglecone.linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -167,6 +167,57 @@ def test_eigen_rejects_non_hermitian():
     x = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(DomainError):
         hermitian_eigen(x)
+
+
+def _hermitian_stack(seed, shape, k):
+    stream = derive_stream(seed, 0)
+    flat = [random_hermitian(stream, k) for _ in range(int(np.prod(shape)))]
+    return np.array(flat).reshape(shape + (k, k))
+
+
+def test_eigen_stack_matches_each_matrix():
+    for shape, k in (((5,), 3), ((2, 3), 4), ((1,), 9)):
+        stack = _hermitian_stack(109, shape, k)
+        values, vectors = hermitian_eigen(stack)
+        assert values.shape == shape + (k,)
+        assert vectors.shape == shape + (k, k)
+        for index in np.ndindex(*shape):
+            w, v = hermitian_eigen(stack[index])
+            assert np.array_equal(values[index], w)
+            assert np.array_equal(vectors[index], v)
+
+
+def test_eigen_stack_checks_every_matrix():
+    stack = _hermitian_stack(110, (4,), 3)
+    bad = stack.copy()
+    bad[2, 0, 1] = np.inf
+    with pytest.raises(DomainError):
+        hermitian_eigen(bad)
+    # A deviation of 1e-6 is small beside slice 0's norm but not beside
+    # slice 3's own, which is what it is measured against.
+    bad = stack.copy()
+    bad[0] *= 1e8
+    bad[3, 0, 1] += 1e-6
+    with pytest.raises(DomainError):
+        hermitian_eigen(bad)
+    with pytest.raises(DimensionError):
+        hermitian_eigen(np.zeros((4, 3, 2)))
+
+
+def test_eigen_stack_residual_failure_in_one_matrix(monkeypatch):
+    stack = _hermitian_stack(111, (4,), 3)
+    real = np.linalg.eigh
+
+    def perturbed(a, *args, **kwargs):
+        w, v = real(a, *args, **kwargs)
+        v = v.copy()
+        # Still a unit vector to first order, but no longer an eigenvector.
+        v[2, :, 0] += 1e-6 * v[2, :, 1]
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(NumericalError):
+        hermitian_eigen(stack)
 
 
 def test_min_eigenpair_matches_full_solve():
