@@ -220,7 +220,9 @@ def classify_map(
     else:
         from .states import witness_battery
 
-        state = state_from_map(f, tol)
+        # The battery checks the density at tol itself; state_from_map
+        # checking it there too would take the same spectrum twice.
+        state = state_from_map(f)
         report = witness_battery(state, default_witness_library(f.dim_out), tol)
         if report.entanglement == "certified-entangled":
             eb_verdict = EB_ENTANGLED

@@ -183,16 +183,21 @@ def apply_map(f: MatrixMap, a: np.ndarray) -> np.ndarray:
 def apply_to_second(
     x: np.ndarray, dims: tuple[int, int], f: MatrixMap
 ) -> np.ndarray:
-    """Evaluate (id (x) phi)(x) on an operator over M_n (x) M_m."""
+    """Evaluate (id (x) phi)(x) on an operator over M_n (x) M_m.
+
+    A stack ``(..., nm, nm)`` is mapped matrix by matrix.
+    """
     n, m = dims
     if f.dim_in != m:
         raise DimensionError(
             f"map input dimension {f.dim_in} does not match second factor {m}"
         )
-    x4 = as_matrix(x).reshape(n, m, n, m)
-    out4 = np.einsum("ikjl,kalb->iajb", x4, f.choi4())
+    a = as_matrix(x, stacked=True)
+    lead = a.shape[:-2]
+    x4 = a.reshape(lead + (n, m, n, m))
+    out4 = np.einsum("...ikjl,kalb->...iajb", x4, f.choi4())
     p = f.dim_out
-    return out4.reshape(n * p, n * p)
+    return out4.reshape(lead + (n * p, n * p))
 
 
 def map_adjoint(f: MatrixMap) -> MatrixMap:

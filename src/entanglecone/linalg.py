@@ -84,13 +84,19 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(as_matrix(a, square=False), as_matrix(b, square=False))
 
 
-def check_bipartite(x: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Coerce to a finite square matrix acting on the n x m composite."""
+def check_bipartite(
+    x: np.ndarray, dims: tuple[int, int], stacked: bool = False
+) -> np.ndarray:
+    """Coerce to a finite square matrix acting on the n x m composite.
+
+    With ``stacked`` a stack of such matrices ``(..., nm, nm)`` is
+    accepted too.
+    """
     n, m = dims
     if n < 1 or m < 1:
         raise DimensionError(f"factor dimensions must be positive, got {dims}")
-    a = as_matrix(x)
-    if a.shape[0] != n * m:
+    a = as_matrix(x, stacked=stacked)
+    if a.shape[-1] != n * m:
         raise DimensionError(
             f"matrix of shape {a.shape} does not act on a {n}x{m} composite"
         )
@@ -118,10 +124,11 @@ def partial_transpose(
 def transpose_second(a: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Second-factor partial transpose without partial_transpose's checks.
 
-    For inner loops whose operand check_bipartite has already accepted.
+    For inner loops whose operand check_bipartite has already accepted;
+    a stack ``(..., nm, nm)`` is transposed matrix by matrix.
     """
     n, m = dims
-    return a.reshape(n, m, n, m).transpose(0, 3, 2, 1).reshape(n * m, n * m)
+    return a.reshape(a.shape[:-2] + (n, m, n, m)).swapaxes(-3, -1).reshape(a.shape)
 
 
 def partial_trace(

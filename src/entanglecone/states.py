@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .linalg import (
     Tolerances,
     check_bipartite,
     frob,
+    hermitian_eigen,
     hermitian_part,
     is_psd,
     min_eigenpair,
@@ -310,9 +312,10 @@ def random_pure_mixture(stream: SplitMix64, d: int, terms: int) -> np.ndarray:
 
 
 def _proj_psd(x: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix to a Hermitian x; eigh reads only one triangle."""
+    """Nearest PSD matrix to a Hermitian x, matrix by matrix for a stack;
+    eigh reads only one triangle."""
     w, v = np.linalg.eigh(x)
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
+    return (v * np.maximum(w, 0.0)[..., np.newaxis, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _proj_pt_psd(x: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -321,12 +324,17 @@ def _proj_pt_psd(x: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 
 def _dykstra(
     x: np.ndarray, dims: tuple[int, int], correction: np.ndarray | None = None
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Nearest point of {PSD} intersect {PT-PSD} to the Hermitian part of x.
 
+    x is one matrix or a stack ``(..., nm, nm)`` of them, projected
+    matrix by matrix; a 2-D x is a stack of one. Returns the projection,
+    shaped like x, and the number of sweeps each matrix took, shaped
+    like ``x.shape[:-2]``.
+
     Dykstra's algorithm for the two cones (Boyle & Dykstra 1986), in its
-    one-variable form: with x0 the Hermitian part of x and v the
-    correction of the PT step, each sweep computes
+    one-variable form: with x0 the Hermitian part of a matrix and v the
+    correction of its PT step, each sweep computes
 
         y = P_psd(x0 - v),   x_pt = P_pt(v + y),   T(v) = v + y - x_pt.
 
@@ -341,6 +349,19 @@ def _dykstra(
     is dropped whenever the gap grows, so a step that overshoots is
     followed by a plain Dykstra step.
 
+    The stack advances in lockstep: each sweep makes one stacked eigh
+    per cone over the matrices whose gap is still open, and a matrix
+    leaves the stack in the sweep that closes its gap. Every matrix
+    keeps its own Anderson history in a ring of _DYKSTRA_MEMORY rows,
+    zero where unused, and the combinations of the whole stack come
+    from one batched solve of the regularised normal equations
+
+        (G + lambda I) gamma = A res,   G = A A^T,   lambda = 1e-12 tr(G),
+
+    where the rows of A are a matrix's stored residual differences. The
+    ridge keeps G, singular while the ring is not full, invertible. A
+    matrix with an empty history gets gamma = 0: the plain step.
+
     Every sweep certifies its own x_pt, whatever v it started from.
     With p = x0 - v - y and q = T(v), x0 = x_pt + p + q where p is
     negative semidefinite with <p, y> = 0 and PT(q) is negative
@@ -353,63 +374,101 @@ def _dykstra(
       D = n m, by comparing x* with x_pt + r I, which lies in both
       cones. Every norm is Frobenius.
 
-    The loop returns x_pt once r <= _DYKSTRA_GAP max(1, ||x_pt||), with
-    _DYKSTRA_GAP the default PSD slack: the point then passes is_psd on
-    both cones, and when ||x0 - x_pt|| and ||p|| are below 0.15, as for
-    the search's candidates, it lies within 3e-5 of the nearest point.
-    Measured distances are far smaller, about 3e-9 for the first
-    candidate of the seed-0 choi3 search. _DYKSTRA_ITERATIONS is a safety bound for a
-    call that never closes the gap; reaching it is logged.
+    Since the certificate does not depend on v, neither the ridge nor
+    the lockstep changes this bound. A matrix leaves once
+    r <= _DYKSTRA_GAP max(1, ||x_pt||), with _DYKSTRA_GAP the default
+    PSD slack: the point then passes is_psd on both cones, and when
+    ||x0 - x_pt|| and ||p|| are below 0.15, as for the search's
+    candidates, it lies within 3e-5 of the nearest point. Measured
+    distances are far smaller, about 3e-9 for the first candidate of
+    the seed-0 choi3 search. _DYKSTRA_ITERATIONS is a safety bound for
+    a matrix that never closes the gap; reaching it is logged with the
+    number of matrices that did.
 
-    ``correction``, when given, holds the v to start from and receives
-    the final T(v). Neither the fixed points of T nor the certificate
-    depend on the start; a start near the final correction only saves
-    sweeps. Consecutive ascent candidates differ by one short step, so
-    the search passes one array through all of a restart's projections.
+    ``correction``, when given, is shaped like x, holds the v to start
+    from and receives the final T(v). Neither the fixed points of T nor
+    the certificate depend on the start; a start near the final
+    correction only saves sweeps. Consecutive ascent candidates differ
+    by one short step, so the search passes each restart's correction
+    through all of that restart's projections.
     """
-    x0 = hermitian_part(check_bipartite(x, dims))
-    v = np.zeros_like(x0) if correction is None else correction
-    # Differences of residuals and of T values over the last sweeps, as
-    # real vectors: Anderson's combination has real coefficients, which
-    # keeps v Hermitian.
-    d_res = np.empty((_DYKSTRA_MEMORY, 2 * x0.size))
-    d_tv = np.empty_like(d_res)
-    filled = 0
+    x0 = hermitian_part(check_bipartite(x, dims, stacked=True))
+    shape = x0.shape
+    x0 = x0.reshape((-1,) + shape[-2:])
+    count = x0.shape[0]
+    out = np.empty_like(x0)
+    final_tv = np.empty_like(x0)
+    sweeps = np.zeros(count, dtype=np.int64)
+    v = np.zeros_like(x0) if correction is None else correction.reshape(x0.shape)
+    # Per matrix, differences of residuals and of T values over the last
+    # sweeps, as real vectors: Anderson's combination has real
+    # coefficients, which keeps v Hermitian.
+    d_res = np.zeros((count, _DYKSTRA_MEMORY, 2 * shape[-1] ** 2))
+    d_tv = np.zeros_like(d_res)
+    filled = np.zeros(count, dtype=np.int64)
+    prev_gap = np.full(count, np.inf)
     prev_res = prev_tv = None
-    prev_gap = np.inf
+    live = np.arange(count)
     for _ in range(_DYKSTRA_ITERATIONS):
+        if live.size == 0:
+            break
+        sweeps[live] += 1
         y = _proj_psd(x0 - v)
         x_pt = _proj_pt_psd(v + y, dims)
         tv = v + y - x_pt
-        res = (y - x_pt).view(np.float64).ravel()
-        gap = float(np.linalg.norm(res))
-        if gap <= _DYKSTRA_GAP * max(1.0, frob(x_pt)):
-            break
-        tv_vec = tv.view(np.float64).ravel()
-        if gap > prev_gap:
-            filled = 0
-        elif prev_res is not None:
-            slot = filled % _DYKSTRA_MEMORY
-            d_res[slot] = res - prev_res
-            d_tv[slot] = tv_vec - prev_tv
-            filled += 1
-        if filled:
-            k = min(filled, _DYKSTRA_MEMORY)
-            gamma = np.linalg.lstsq(d_res[:k].T, res, rcond=None)[0]
-            v = (tv_vec - gamma @ d_tv[:k]).view(np.complex128).reshape(x0.shape)
-        else:
-            v = tv
+        out[live] = x_pt
+        final_tv[live] = tv
+        res = (y - x_pt).reshape(live.size, -1).view(np.float64)
+        gap = np.linalg.norm(res, axis=1)
+        closed = gap <= _DYKSTRA_GAP * np.maximum(
+            1.0, np.linalg.norm(x_pt, axis=(1, 2))
+        )
+        if closed.any():
+            keep = ~closed
+            live = live[keep]
+            if live.size == 0:
+                break
+            x0, tv, res, gap = x0[keep], tv[keep], res[keep], gap[keep]
+            d_res, d_tv, filled, prev_gap = (
+                d_res[keep], d_tv[keep], filled[keep], prev_gap[keep]
+            )
+            if prev_res is not None:
+                prev_res, prev_tv = prev_res[keep], prev_tv[keep]
+        tv_vec = tv.reshape(live.size, -1).view(np.float64)
+        grew = gap > prev_gap
+        filled[grew] = 0
+        d_res[grew] = 0.0
+        d_tv[grew] = 0.0
+        if prev_res is not None:
+            rows = np.flatnonzero(~grew)
+            slot = filled[rows] % _DYKSTRA_MEMORY
+            d_res[rows, slot] = res[rows] - prev_res[rows]
+            d_tv[rows, slot] = tv_vec[rows] - prev_tv[rows]
+            filled[rows] += 1
+        gram = d_res @ d_res.swapaxes(1, 2)
+        ridge = 1e-12 * np.trace(gram, axis1=1, axis2=2)
+        # An empty history has G = 0 and A res = 0; any positive ridge
+        # then gives gamma = 0.
+        ridge[ridge == 0.0] = 1.0
+        gamma = np.linalg.solve(
+            gram + ridge[:, np.newaxis, np.newaxis] * np.eye(_DYKSTRA_MEMORY),
+            d_res @ res[:, :, np.newaxis],
+        )
+        v_vec = tv_vec - (gamma.swapaxes(1, 2) @ d_tv)[:, 0]
+        v = v_vec.view(np.complex128).reshape(x0.shape)
         prev_res, prev_tv, prev_gap = res, tv_vec, gap
-    else:
+    if live.size:
         logger.warning(
-            "Dykstra projection stopped at its cap of %d iterations with "
-            "gap %.2e",
+            "Dykstra projection stopped at its cap of %d iterations in %d of "
+            "%d matrices, with gaps up to %.2e",
             _DYKSTRA_ITERATIONS,
-            gap,
+            live.size,
+            count,
+            gap.max(),
         )
     if correction is not None:
-        correction[...] = tv
-    return x_pt
+        correction[...] = final_tv.reshape(shape)
+    return out.reshape(shape), sweeps.reshape(shape[:-2])
 
 
 @dataclass(eq=False)
@@ -424,21 +483,12 @@ class SearchResult:
     witness_name: str
 
 
-@dataclass(eq=False)
-class _RestartOutcome:
-    violation: float
-    h: np.ndarray
-    converged: bool
-    iterations: int
-    restart: int
-
-
 def _violation(
     h: np.ndarray, dims: tuple[int, int], witness: MatrixMap, tol: Tolerances
-) -> tuple[float, np.ndarray]:
-    out = hermitian_part(apply_to_second(h, dims, witness))
-    low, vec = min_eigenpair(out, tol)
-    return -float(low), vec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Witness violation -lambda_min and its eigenvector, per matrix of a stack."""
+    w, v = hermitian_eigen(hermitian_part(apply_to_second(h, dims, witness)), tol)
+    return -w[..., -1], v[..., -1]
 
 
 def search_ppt_entangled(
@@ -452,14 +502,24 @@ def search_ppt_entangled(
 
     Projected subgradient ascent on violation(h) = -lambda_min of
     (id (x) witness)(h) over {h PSD, Tr h = 1, PT(h) PSD}. Each restart
-    owns a PRNG stream derived from (seed, restart index); the winner
-    is selected by (violation, restart index), so the result does not
-    depend on scheduling. A decomposable witness makes success
-    provably impossible; the ascent then stalls at zero and the caller
-    sees a non-finding result rather than an error.
+    owns a PRNG stream derived from (seed, restart index), and the
+    restarts advance in lockstep as one stack: each trial step length
+    of an ascent step projects every restart still without an improving
+    step in one stacked _dykstra call, and a restart leaves the stack
+    once it is stationary or has stalled on a plateau. Each restart
+    takes exactly the steps it would take alone. The winner is selected
+    by (violation, restart index), so the result does not depend on the
+    order of the stack. A decomposable witness makes success provably
+    impossible; the ascent then stalls at zero and the caller sees a
+    non-finding result rather than an error.
+
+    One DEBUG line on the module logger reports the restarts, ascent
+    steps, stacked projection calls, matrix-sweeps, cap hits and the
+    wall time of the start, ascent and polish phases.
     """
     n = m = witness.dim_in
     dims = (n, m)
+    d = n * m
     adjoint = map_adjoint(witness)
 
     cp_now, _ = is_cp(witness, tol)
@@ -472,68 +532,110 @@ def search_ppt_entangled(
             "completely positive" if cp_now else "copositive",
         )
 
-    def fresh_start(stream: SplitMix64) -> np.ndarray:
-        mixed = random_product_mixture(stream, n, m, _INIT_PRODUCT_TERMS)
+    started = time.perf_counter()
+    restarts = budget.restarts
+    streams = [derive_stream(seed, r) for r in range(restarts)]
+    calls = matrix_sweeps = cap_hits = 0
+
+    def project(x: np.ndarray, correction: np.ndarray | None = None) -> np.ndarray:
+        nonlocal calls, matrix_sweeps, cap_hits
+        out, sweeps = _dykstra(x, dims, correction)
+        calls += 1
+        matrix_sweeps += int(sweeps.sum())
+        cap_hits += int(np.count_nonzero(sweeps >= _DYKSTRA_ITERATIONS))
+        return out
+
+    def fresh_starts(rs) -> np.ndarray:
+        mixed = np.stack(
+            [random_product_mixture(streams[r], n, m, _INIT_PRODUCT_TERMS) for r in rs]
+        )
         h = (1.0 - _INIT_INTERIOR_WEIGHT) * mixed
-        h += _INIT_INTERIOR_WEIGHT * np.eye(n * m) / (n * m)
-        h = _dykstra(h, dims)
-        return h / np.real(np.trace(h))
+        h += _INIT_INTERIOR_WEIGHT * np.eye(d) / d
+        h = project(h)
+        return h / np.real(np.trace(h, axis1=1, axis2=2))[:, np.newaxis, np.newaxis]
 
-    def one_restart(r: int) -> _RestartOutcome:
-        stream = derive_stream(seed, r)
-        h = fresh_start(stream)
-        correction = np.zeros((n * m, n * m), dtype=np.complex128)
-        viol, vec = _violation(h, dims, witness, tol)
-        best = viol
-        plateau = 0
-        converged = False
-        iterations = 0
-        for _ in range(budget.iterations):
-            iterations += 1
-            grad = -hermitian_part(
-                apply_to_second(np.outer(vec, vec.conj()), (n, witness.dim_out), adjoint)
+    h = fresh_starts(range(restarts))
+    correction = np.zeros((restarts, d, d), dtype=np.complex128)
+    viol, vec = _violation(h, dims, witness, tol)
+    best = viol.copy()
+    plateau = np.zeros(restarts, dtype=np.int64)
+    converged = np.zeros(restarts, dtype=bool)
+    iterations = np.zeros(restarts, dtype=np.int64)
+    active = np.arange(restarts)
+    ascent_started = time.perf_counter()
+    for _ in range(budget.iterations):
+        if active.size == 0:
+            break
+        iterations[active] += 1
+        va = vec[active]
+        grad = -hermitian_part(
+            apply_to_second(
+                va[:, :, np.newaxis] * va.conj()[:, np.newaxis, :],
+                (n, witness.dim_out),
+                adjoint,
             )
-            step = _ASCENT_STEP
-            accepted = False
-            for _ in range(_MAX_HALVINGS):
-                cand = _dykstra(h + step * grad, dims, correction)
-                trace = float(np.real(np.trace(cand)))
-                if trace < 1e-12:
-                    # Projection collapsed; restart from a fresh point.
-                    cand = fresh_start(stream)
-                    trace = 1.0
-                cand = cand / trace
-                cand_viol, cand_vec = _violation(cand, dims, witness, tol)
-                if cand_viol > viol:
-                    h, viol, vec = cand, cand_viol, cand_vec
-                    accepted = True
-                    break
-                step /= 2.0
-            if not accepted:
-                # No step length improves the objective: stationary.
-                converged = True
+        )
+        # Rows of `active` still without an improving step.
+        looking = np.ones(active.size, dtype=bool)
+        step = _ASCENT_STEP
+        for _ in range(_MAX_HALVINGS):
+            rows = np.flatnonzero(looking)
+            rs = active[rows]
+            corr = correction[rs]
+            cand = project(h[rs] + step * grad[rows], corr)
+            correction[rs] = corr
+            trace = np.real(np.trace(cand, axis1=1, axis2=2))
+            collapsed = trace < 1e-12
+            if collapsed.any():
+                # Projection collapsed; that restart starts afresh from
+                # its own stream.
+                cand[collapsed] = fresh_starts(rs[collapsed])
+                trace[collapsed] = 1.0
+            cand /= trace[:, np.newaxis, np.newaxis]
+            cand_viol, cand_vec = _violation(cand, dims, witness, tol)
+            up = cand_viol > viol[rs]
+            h[rs[up]] = cand[up]
+            viol[rs[up]] = cand_viol[up]
+            vec[rs[up]] = cand_vec[up]
+            looking[rows[up]] = False
+            if not looking.any():
                 break
-            if viol - best < _PLATEAU_RELATIVE * max(abs(viol), _PLATEAU_SCALE_FLOOR):
-                plateau += 1
-                if plateau >= _PLATEAU_EXIT:
-                    converged = True
-                    break
-            else:
-                plateau = 0
-            best = max(best, viol)
-        return _RestartOutcome(viol, h, converged, iterations, r)
+            step /= 2.0
+        # No step length improves the objective: stationary.
+        converged[active[looking]] = True
+        moved = active[~looking]
+        flat = viol[moved] - best[moved] < _PLATEAU_RELATIVE * np.maximum(
+            np.abs(viol[moved]), _PLATEAU_SCALE_FLOOR
+        )
+        plateau[moved] = np.where(flat, plateau[moved] + 1, 0)
+        best[moved] = np.maximum(best[moved], viol[moved])
+        stalled = plateau[moved] >= _PLATEAU_EXIT
+        converged[moved[stalled]] = True
+        active = moved[~stalled]
 
-    outcomes = [one_restart(r) for r in range(budget.restarts)]
-    winner = min(outcomes, key=lambda o: (-o.violation, o.restart))
-    total_iterations = sum(o.iterations for o in outcomes)
-
-    h = _polish_feasibility(winner.h, dims)
+    polish_started = time.perf_counter()
+    winner = int(np.argmax(viol))  # the first maximum: the lowest restart index
+    h = _polish_feasibility(h[winner], dims)
     violation, _ = _violation(h, dims, witness, tol)
+    logger.debug(
+        "search %s: %d restarts, %d ascent steps, %d projection calls, "
+        "%d matrix-sweeps, %d cap hits; start %.3f s, ascent %.3f s, "
+        "polish %.3f s",
+        witness_name,
+        restarts,
+        int(iterations.sum()),
+        calls,
+        matrix_sweeps,
+        cap_hits,
+        ascent_started - started,
+        polish_started - ascent_started,
+        time.perf_counter() - polish_started,
+    )
     return SearchResult(
         state=BipartiteState(dims, h),
         violation=float(violation),
-        iterations=total_iterations,
-        converged=winner.converged,
+        iterations=int(iterations.sum()),
+        converged=bool(converged[winner]),
         seed=seed,
         witness_name=witness_name,
     )

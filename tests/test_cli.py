@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 
@@ -253,6 +254,20 @@ def test_search_finds_state_quickly(capsys):
     assert code in (0, 4)
     state = state_document_from_json(doc["state"])
     assert state.dims == (3, 3)
+
+
+def test_search_debug_summary_leaves_stdout_unchanged(capsys, caplog):
+    argv = [
+        "search-ppt-entangled", "choi3",
+        "--budget-restarts", "2", "--budget-iters", "3", "--seed", "1",
+    ]
+    quiet = _run(capsys, argv)
+    with caplog.at_level(logging.DEBUG, logger="entanglecone.states"):
+        loud = _run(capsys, argv)
+    assert loud == quiet
+    summaries = [r for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(summaries) == 1
+    assert "2 restarts" in summaries[0].getMessage()
 
 
 def _refuse(*_args, **_kwargs):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entanglecone.classify import Budget, classify_map
 from entanglecone.duality import (
     BipartiteState,
     HolevoForm,
@@ -25,6 +28,7 @@ from entanglecone.duality import (
 )
 from entanglecone.errors import DimensionError, DomainError
 from entanglecone.linalg import (
+    DEFAULT_TOL,
     Tolerances,
     e_matrix,
     frob,
@@ -219,6 +223,17 @@ def test_state_from_map_one_spectrum_and_tolerances(eigh_inputs):
         state_from_map(dip, Tolerances(psd_slack=1e-12))
     assert getattr(info.value, "witness", None) is not None
 
+    # classify_map on a CP map takes the state density's spectrum once per
+    # tolerance, plus once as the identity witness of the battery.
+    g, _ = _random_kraus_map(derive_stream(213, 0), 3, 3)
+    density = g.choi.T
+    budget = Budget(restarts=2, iterations=20)
+    for tol, count in ((DEFAULT_TOL, 2), (Tolerances(psd_slack=1e-10), 3)):
+        classify_map(g, budget, tol=tol)
+        eigh_inputs.clear()
+        classify_map(g, budget, tol=tol)
+        assert sum(np.array_equal(a, density) for a in eigh_inputs) == count
+
 
 def test_choi_size_cap_checked_before_allocation():
     # Each of these would allocate a Choi matrix with n*m > 256.
@@ -243,6 +258,22 @@ def test_map_state_roundtrip_exact():
     assert np.array_equal(g.choi, f.choi)
     s2 = state_from_map(g)
     assert np.array_equal(s2.density, s.density)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 3),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_map_state_roundtrips_hold_for_random_cp_maps(n, m, count, seed):
+    stream = derive_stream(seed, 0)
+    f, _ = _random_kraus_map(stream, n, m, count)
+    s = state_from_map(f)
+    assert np.array_equal(map_from_state(s).choi, f.choi)
+    t = BipartiteState((n, m), random_density(stream, n * m))
+    assert np.array_equal(state_from_map(map_from_state(t)).density, t.density)
 
 
 def test_pairing_value_is_functional_on_products():

@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entanglecone import states
 from entanglecone.classify import (
@@ -223,6 +225,44 @@ def test_peres_equivalence_battery():
     assert peres_equivalence(_holevo_state(stream, 2, 2))
 
 
+def _random_state(kind, n, m, seed, weight):
+    """A product mixture, or pure states mixed with white noise."""
+    stream = derive_stream(seed, 0)
+    if kind == "product":
+        h = random_product_mixture(stream, n, m, 3)
+    else:
+        h = weight * random_pure_mixture(stream, n * m, 2)
+        h += (1.0 - weight) * np.eye(n * m) / (n * m)
+    return BipartiteState((n, m), h)
+
+
+_STATES = dict(
+    kind=st.sampled_from(["product", "noisy"]),
+    n=st.sampled_from([2, 3]),
+    m=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    weight=st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(**_STATES)
+def test_peres_equivalence_holds_on_random_states(kind, n, m, seed, weight):
+    assert peres_equivalence(_random_state(kind, n, m, seed, weight))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(**_STATES)
+def test_ppt_check_agrees_with_the_battery(kind, n, m, seed, weight):
+    s = _random_state(kind, n, m, seed, weight)
+    ok, witness = ppt_check(s)
+    report = witness_battery(s)
+    assert report.ppt == ok
+    assert (witness is None) == (report.ppt_witness is None)
+    if kind == "product":
+        assert ok
+
+
 def test_random_pure_mixture_is_state():
     stream = derive_stream(407, 0)
     h = random_pure_mixture(stream, 4, 3)
@@ -233,7 +273,7 @@ def test_random_pure_mixture_is_state():
 def test_dykstra_lands_in_both_cones():
     stream = derive_stream(408, 0)
     x = random_pure_mixture(stream, 9, 2) - 0.05 * np.eye(9)
-    out = _dykstra(x, (3, 3))
+    out, _ = _dykstra(x, (3, 3))
     assert np.linalg.eigvalsh(hermitian_part(out))[0] >= -1e-6
     pt = partial_transpose(out, (3, 3), "second")
     assert np.linalg.eigvalsh(hermitian_part(pt))[0] >= -1e-6
@@ -252,7 +292,7 @@ def _first_ascent_candidate() -> np.ndarray:
     mixed = random_product_mixture(stream, 3, 3, states._INIT_PRODUCT_TERMS)
     h = (1.0 - states._INIT_INTERIOR_WEIGHT) * mixed
     h += states._INIT_INTERIOR_WEIGHT * np.eye(9) / 9.0
-    h = _dykstra(h, (3, 3))
+    h, _ = _dykstra(h, (3, 3))
     h /= np.trace(h).real
     moved = hermitian_part(apply_to_second(h, (3, 3), witness))
     _, vec = min_eigenpair(moved)
@@ -284,7 +324,7 @@ def test_dykstra_exits_on_gap_near_both_boundaries(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     correction = np.zeros((9, 9), dtype=complex)
-    out = _dykstra(x0, (3, 3), correction)
+    out, _ = _dykstra(x0, (3, 3), correction)
     # Two eigendecompositions per sweep.
     assert len(calls) // 2 < states._DYKSTRA_ITERATIONS
     assert is_psd(out)[0]
@@ -298,7 +338,7 @@ def test_dykstra_exits_on_gap_near_both_boundaries(monkeypatch):
     monkeypatch.setattr(states, "_DYKSTRA_ITERATIONS", 5000)
     calls.clear()
     ref_correction = np.zeros((9, 9), dtype=complex)
-    ref = _dykstra(x0, (3, 3), ref_correction)
+    ref, _ = _dykstra(x0, (3, 3), ref_correction)
     assert len(calls) // 2 < 5000
     ref_bound = _certified_distance(x0, ref, ref_correction, 1e-13)
     assert np.linalg.norm(out - ref) <= bound + ref_bound
@@ -310,6 +350,92 @@ def test_dykstra_cap_is_logged(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="entanglecone.states"):
         _dykstra(x0, (3, 3))
     assert any("cap of 3 iterations" in rec.message for rec in caplog.records)
+
+
+def _stack_to_project():
+    """Four matrices whose projections stop at different sweeps."""
+    stream = derive_stream(408, 1)
+    hard = _first_ascent_candidate()
+    return np.stack(
+        [
+            hard,
+            random_pure_mixture(stream, 9, 2) - 0.05 * np.eye(9),
+            random_pure_mixture(stream, 9, 3),
+            hard + 0.02 * (random_pure_mixture(stream, 9, 2) - np.eye(9) / 9.0),
+        ]
+    )
+
+
+def _history_lengths(monkeypatch, x):
+    """Per solve of the Anderson system, each row's history length: the
+    number of nonzero entries of A res."""
+    lengths = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        lengths.append(np.count_nonzero(b[:, :, 0], axis=1))
+        return solve(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", recording)
+        out, sweeps = _dykstra(x, (3, 3), np.zeros_like(x))
+    return out, sweeps, lengths
+
+
+def test_dykstra_stack_matches_each_slice_alone():
+    x = _stack_to_project()
+    correction = np.zeros_like(x)
+    out, sweeps = _dykstra(x, (3, 3), correction)
+    assert out.shape == x.shape and sweeps.shape == (4,)
+    assert len(set(sweeps.tolist())) == 4
+    for k in range(4):
+        alone_correction = np.zeros((9, 9), dtype=complex)
+        alone, alone_sweeps = _dykstra(x[k], (3, 3), alone_correction)
+        assert alone_sweeps == sweeps[k]
+        assert is_psd(out[k])[0]
+        assert is_psd(partial_transpose(out[k], (3, 3), "second"))[0]
+        x0 = hermitian_part(x[k])
+        gap = states._DYKSTRA_GAP * max(1.0, np.linalg.norm(out[k]))
+        alone_gap = states._DYKSTRA_GAP * max(1.0, np.linalg.norm(alone))
+        bound = _certified_distance(x0, out[k], correction[k], gap)
+        alone_bound = _certified_distance(x0, alone, alone_correction, alone_gap)
+        assert np.linalg.norm(out[k] - alone) <= bound + alone_bound
+
+
+def test_dykstra_resets_only_the_history_whose_gap_grew(monkeypatch):
+    x = _stack_to_project()
+    _, sweeps, stacked = _history_lengths(monkeypatch, x)
+    alone = [_history_lengths(monkeypatch, x[k])[2] for k in range(4)]
+    # The rows of solve j are the matrices still open after sweep j + 1.
+    expected = [
+        [alone[k][j][0] for k in range(4) if sweeps[k] > j + 1]
+        for j in range(int(sweeps.max()) - 1)
+    ]
+    assert [row.tolist() for row in stacked] == expected
+    # The stack does contain a sweep where one history is dropped while
+    # another grows.
+    assert any(
+        0 in row.tolist() and row.max() > 1 and len(prev) == len(row)
+        and (prev[row == 0] > 0).any()
+        for prev, row in zip(stacked, stacked[1:])
+    )
+
+
+def test_dykstra_cap_names_the_capped_slices(monkeypatch, caplog):
+    x = _stack_to_project()
+    _, sweeps = _dykstra(x, (3, 3))
+    cap = int(sweeps.max()) - 1
+    monkeypatch.setattr(states, "_DYKSTRA_ITERATIONS", cap)
+    with caplog.at_level(logging.WARNING, logger="entanglecone.states"):
+        out, capped_sweeps = _dykstra(x, (3, 3))
+    assert any(
+        f"cap of {cap} iterations in 1 of 4 matrices" in rec.message
+        for rec in caplog.records
+    )
+    assert capped_sweeps.tolist() == np.minimum(sweeps, cap).tolist()
+    for k in range(4):
+        alone, _ = _dykstra(x[k], (3, 3))
+        assert np.array_equal(out[k], alone)
 
 
 def test_search_finds_ppt_entangled_state():
@@ -332,6 +458,152 @@ def test_search_finds_ppt_entangled_state():
     low, vec = min_eigenpair(hermitian_part(moved))
     assert abs(low + result.violation) < 1e-10
     assert abs((vec.conj() @ moved @ vec).real - low) < 1e-10
+
+
+def _per_restart_search(witness, budget, seed):
+    """Reference: each restart of search_ppt_entangled run on its own.
+
+    Returns (violation, restart, h, converged, steps) per restart, h
+    before the winner's feasibility polish.
+    """
+    n = witness.dim_in
+    dims = (n, n)
+    adjoint = map_adjoint(witness)
+
+    def violation(h):
+        low, vec = min_eigenpair(hermitian_part(apply_to_second(h, dims, witness)))
+        return -low, vec
+
+    def fresh_start(stream):
+        mixed = random_product_mixture(stream, n, n, states._INIT_PRODUCT_TERMS)
+        h = (1.0 - states._INIT_INTERIOR_WEIGHT) * mixed
+        h += states._INIT_INTERIOR_WEIGHT * np.eye(n * n) / (n * n)
+        h, _ = _dykstra(h, dims)
+        return h / np.real(np.trace(h))
+
+    runs = []
+    for r in range(budget.restarts):
+        stream = derive_stream(seed, r)
+        h = fresh_start(stream)
+        correction = np.zeros((n * n, n * n), dtype=complex)
+        viol, vec = violation(h)
+        best, plateau, converged, steps = viol, 0, False, 0
+        for _ in range(budget.iterations):
+            steps += 1
+            grad = -hermitian_part(
+                apply_to_second(np.outer(vec, vec.conj()), dims, adjoint)
+            )
+            step = states._ASCENT_STEP
+            for _ in range(states._MAX_HALVINGS):
+                cand, _ = _dykstra(h + step * grad, dims, correction)
+                trace = np.real(np.trace(cand))
+                if trace < 1e-12:
+                    cand, trace = fresh_start(stream), 1.0
+                cand = cand / trace
+                cand_viol, cand_vec = violation(cand)
+                if cand_viol > viol:
+                    h, viol, vec = cand, cand_viol, cand_vec
+                    break
+                step /= 2.0
+            else:
+                converged = True
+                break
+            scale = max(abs(viol), states._PLATEAU_SCALE_FLOOR)
+            if viol - best < states._PLATEAU_RELATIVE * scale:
+                plateau += 1
+                if plateau >= states._PLATEAU_EXIT:
+                    converged = True
+                    break
+            else:
+                plateau = 0
+            best = max(best, viol)
+        runs.append((viol, r, h, converged, steps))
+    return runs
+
+
+def test_lockstep_search_matches_per_restart_runs(monkeypatch):
+    # A short plateau makes the restarts leave the stack at different
+    # steps; one of them runs to the step budget.
+    monkeypatch.setattr(states, "_PLATEAU_EXIT", 3)
+    monkeypatch.setattr(states, "_PLATEAU_RELATIVE", 3e-2)
+    witness = builtin_choi_map()
+    budget = Budget(restarts=6, iterations=40)
+    runs = _per_restart_search(witness, budget, seed=0)
+    assert len({run[4] for run in runs}) == 6
+    assert {run[3] for run in runs} == {True, False}
+    _, restart, h, converged, _ = min(runs, key=lambda run: (-run[0], run[1]))
+
+    polished = []
+    polish = states._polish_feasibility
+
+    def recording(h, dims):
+        polished.append(h)
+        return polish(h, dims)
+
+    monkeypatch.setattr(states, "_polish_feasibility", recording)
+    result = search_ppt_entangled(witness, budget, seed=0)
+    (winner_h,) = polished
+    distances = [np.linalg.norm(winner_h - run[2]) for run in runs]
+    assert int(np.argmin(distances)) == restart
+    assert distances[restart] <= 1e-12
+    assert result.converged == converged
+    assert result.iterations == sum(run[4] for run in runs)
+    moved = hermitian_part(apply_to_second(polish(h, (3, 3)), (3, 3), witness))
+    assert abs(result.violation + min_eigenpair(moved)[0]) <= 1e-12
+
+
+def test_collapsed_candidate_redraws_from_its_own_stream(monkeypatch):
+    streams = {}
+    derive = states.derive_stream
+
+    def numbered(seed, r):
+        stream = derive(seed, r)
+        streams[id(stream)] = r
+        return stream
+
+    draws = []
+    mixture = states.random_product_mixture
+
+    def recording(stream, *args):
+        draws.append(streams[id(stream)])
+        return mixture(stream, *args)
+
+    dykstra = states._dykstra
+    planted = []
+
+    def collapsing(x, dims, correction=None):
+        out, sweeps = dykstra(x, dims, correction)
+        if correction is not None and not planted:
+            # The first ascent projection holds every restart in order.
+            out[1] = 0.0
+            planted.append(True)
+        return out, sweeps
+
+    monkeypatch.setattr(states, "derive_stream", numbered)
+    monkeypatch.setattr(states, "random_product_mixture", recording)
+    monkeypatch.setattr(states, "_dykstra", collapsing)
+    result = search_ppt_entangled(
+        builtin_choi_map(), Budget(restarts=3, iterations=2), seed=4
+    )
+    assert planted
+    assert draws == [0, 1, 2, 1]
+    assert result.iterations == 6
+
+
+def test_search_logs_one_debug_summary(caplog):
+    budget = Budget(restarts=2, iterations=3)
+    with caplog.at_level(logging.DEBUG, logger="entanglecone.states"):
+        result = search_ppt_entangled(
+            builtin_choi_map(), budget, seed=1, witness_name="choi3"
+        )
+    (summary,) = [r for r in caplog.records if r.levelno == logging.DEBUG]
+    restarts, steps, calls, sweeps, caps = [int(v) for v in summary.args[1:6]]
+    assert summary.getMessage().startswith("search choi3: 2 restarts")
+    assert (restarts, steps, caps) == (2, result.iterations, 0)
+    # One call for the starts, then at least one per lockstep ascent step.
+    assert calls >= 1 + -(-steps // restarts)
+    assert sweeps >= calls
+    assert all(t >= 0.0 for t in summary.args[6:])
 
 
 def test_search_reports_witness_hit_in_battery():
