@@ -9,6 +9,7 @@ commutativity of their range.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -33,7 +34,6 @@ from .linalg import (
     hermitian_deviation,
     hermitian_eigen,
     hermitian_part,
-    is_psd,
     kron,
     support_projection,
 )
@@ -76,17 +76,29 @@ class SeparableEnsemble:
             m = m or b.shape[0]
             if a.shape[0] != n or b.shape[0] != m:
                 raise DimensionError("inconsistent factor dimensions in ensemble")
-            for factor, label in ((a, "a"), (b, "b")):
-                ok, _ = is_psd(factor)
-                if not ok:
-                    raise DomainError(f"ensemble factor {label} is not PSD")
-                if abs(np.real(np.trace(factor)) - 1.0) > 1e-9:
-                    raise DomainError(f"ensemble factor {label} must have trace one")
             total += weight
             checked.append((weight, a, b))
+        self.terms = tuple(checked)
+        # One spectrum per side. Of the terms failing these checks the
+        # first reports, a before b and positivity before trace.
+        _, a, b = _stacked(self)
+        faults = []
+        for label, factors in (("a", a), ("b", b)):
+            w, _ = hermitian_eigen(factors)
+            norm = np.linalg.norm(factors, axis=(-2, -1))
+            trace = np.trace(factors, axis1=-2, axis2=-1).real
+            faults += [
+                (w[:, -1] < -DEFAULT_TOL.psd_slack * np.maximum(1.0, norm),
+                 f"ensemble factor {label} is not PSD"),
+                (np.abs(trace - 1.0) > 1e-9,
+                 f"ensemble factor {label} must have trace one"),
+            ]
+        failing = np.stack([bad for bad, _ in faults], axis=1)
+        if failing.any():
+            _, check = np.argwhere(failing)[0]
+            raise DomainError(faults[check][1])
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"ensemble weights sum to {total!r}, expected 1")
-        self.terms = tuple(checked)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -94,10 +106,13 @@ class SeparableEnsemble:
 
     def to_state(self) -> BipartiteState:
         n, m = self.dims
-        density = np.zeros((n * m, n * m), dtype=np.complex128)
-        for weight, a, b in self.terms:
-            density += weight * kron(a, b)
-        return BipartiteState(self.dims, density)
+        weights, a, b = _stacked(self)
+        # The weighted products fold in term order starting from zero
+        # (np.add.at is unbuffered): the term-by-term sum, bit for bit.
+        products = weights[:, None, None] * kron(a, b)
+        density = np.zeros((1, n * m, n * m), dtype=np.complex128)
+        np.add.at(density, np.zeros(len(weights), dtype=int), products)
+        return BipartiteState(self.dims, density[0])
 
     def to_holevo(self) -> HolevoForm:
         """The Holevo-form map whose dual functional is this ensemble.
@@ -107,6 +122,15 @@ class SeparableEnsemble:
         to_state() exactly.
         """
         return HolevoForm(tuple((w * a, b.T.copy()) for w, a, b in self.terms))
+
+
+def _stacked(ens: SeparableEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weights (k,) and factor stacks (k, n, n), (k, m, m) of the terms."""
+    return (
+        np.array([w for w, _, _ in ens.terms]),
+        np.stack([a for _, a, _ in ens.terms]),
+        np.stack([b for _, _, b in ens.terms]),
+    )
 
 
 @dataclass(eq=False)
@@ -225,88 +249,87 @@ def decompose_separable(
     omega_i(e) omega_j(1-e) Tr(b_i b_j) = 0 across each block boundary.
     """
     k = len(ens.terms)
-    supports_a = [support_projection(a, tol) for _, a, _ in ens.terms]
-    supports_b = [support_projection(b, tol) for _, _, b in ens.terms]
-
-    uf = _UnionFind(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            overlap_a = float(np.real(np.trace(supports_a[i] @ supports_a[j])))
-            overlap_b = float(np.real(np.trace(supports_b[i] @ supports_b[j])))
-            if overlap_a > _OVERLAP_THRESHOLD or overlap_b > _OVERLAP_THRESHOLD:
-                uf.union(i, j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(uf.find(i), []).append(i)
-
     n, m = ens.dims
-    components = []
-    for root in sorted(groups):
-        indices = tuple(sorted(groups[root]))
-        weight = sum(ens.terms[i][0] for i in indices)
-        sum_a = np.zeros((n, n), dtype=np.complex128)
-        sum_b = np.zeros((m, m), dtype=np.complex128)
-        density = np.zeros((n * m, n * m), dtype=np.complex128)
-        for i in indices:
-            w, a, b = ens.terms[i]
-            sum_a += a
-            sum_b += b
-            density += (w / weight) * kron(a, b)
-        e_c = support_projection(sum_a, tol)
-        f_c = support_projection(sum_b, tol)
-        for i in indices:
-            _, a, b = ens.terms[i]
-            if frob(e_c @ a - a) > 1e-8 or frob(f_c @ b - b) > 1e-8:
-                raise NumericalError(
-                    "component support does not contain one of its terms"
-                )
-        components.append(
-            BlockComponent(indices, e_c, f_c, weight, BipartiteState((n, m), density))
-        )
+    weights, a, b = _stacked(ens)
 
-    max_cross = 0.0
-    for s in range(len(components)):
-        for t in range(s + 1, len(components)):
-            max_cross = max(
-                max_cross,
-                frob(components[s].e @ components[t].e),
-                frob(components[s].f @ components[t].f),
-            )
+    # Tr(P_i P_j) for every pair of term supports, one Gram matrix a side.
+    related = np.zeros((k, k), dtype=bool)
+    for factors in (a, b):
+        supports = support_projection(factors, tol)
+        overlap = np.einsum("ixy,jyx->ij", supports, supports).real
+        related |= overlap > _OVERLAP_THRESHOLD
+    uf = _UnionFind(k)
+    for i, j in zip(*np.nonzero(np.triu(related, 1))):
+        uf.union(int(i), int(j))
+    # Roots are smallest members, so sorted roots order the components
+    # by their first term and label[i] is term i's component.
+    roots, label = np.unique([uf.find(i) for i in range(k)], return_inverse=True)
+    c = len(roots)
 
-    reconstructed = np.zeros((n * m, n * m), dtype=np.complex128)
-    for comp in components:
-        reconstructed += comp.weight * comp.state.density
+    # Per-component sums fold their terms in index order starting from
+    # zero (np.add.at is unbuffered), so each reported matrix is the plain
+    # term-by-term sum, bit for bit.
+    weight = np.zeros(c)
+    np.add.at(weight, label, weights)
+    sum_a = np.zeros((c, n, n), dtype=np.complex128)
+    np.add.at(sum_a, label, a)
+    sum_b = np.zeros((c, m, m), dtype=np.complex128)
+    np.add.at(sum_b, label, b)
+    # w_i / weight * kron(a_i, b_i), scaled in place to keep one copy.
+    scaled = kron(a, b)
+    scaled *= (weights / weight[label])[:, None, None]
+    density = np.zeros((c, n * m, n * m), dtype=np.complex128)
+    np.add.at(density, label, scaled)
+    e = support_projection(sum_a, tol)
+    f = support_projection(sum_b, tol)
+
+    outside = np.maximum(
+        np.linalg.norm(e[label] @ a - a, axis=(-2, -1)),
+        np.linalg.norm(f[label] @ b - b, axis=(-2, -1)),
+    )
+    if (outside > 1e-8).any():
+        raise NumericalError("component support does not contain one of its terms")
+
+    reconstructed = np.einsum("c,cxy->xy", weight, density)
     original = ens.to_state().density
     if frob(reconstructed - original) > 1e-9 * max(1.0, frob(original)):
         raise NumericalError("weighted components do not reconstruct the state")
 
-    _validate_splitting_identity(ens, components)
-    return BlockDecomposition(tuple(components), max_cross)
+    _validate_splitting_identity(a, b, e)
+
+    components = tuple(
+        BlockComponent(
+            tuple(np.flatnonzero(label == s).tolist()),
+            e[s],
+            f[s],
+            float(weight[s]),
+            BipartiteState((n, m), density[s]),
+        )
+        for s in range(c)
+    )
+    # frob of each 2-D product: a stacked norm sums in another order, and
+    # the reported maximum would move in its last bits.
+    max_cross = 0.0
+    for s, t in itertools.combinations(range(c), 2):
+        max_cross = max(max_cross, frob(e[s] @ e[t]), frob(f[s] @ f[t]))
+    return BlockDecomposition(components, max_cross)
 
 
-def _validate_splitting_identity(
-    ens: SeparableEnsemble, components: list[BlockComponent]
-) -> None:
+def _validate_splitting_identity(a: np.ndarray, b: np.ndarray, e: np.ndarray) -> None:
     """The boundary identity omega_i(e) omega_j(1-e) Tr(b_i b_j) ~ 0.
 
     This is the consequence of the splitting theorem that the
     construction actually guarantees; it must hold for every component
-    projection against every pair of terms.
+    projection e[c] against every pair of terms (a_i, b_i), (a_j, b_j),
+    checked as one (c, k, k) array.
     """
-    n = ens.dims[0]
-    eye = np.eye(n)
-    for comp in components:
-        e_c = comp.e
-        for _, ai, bi in ens.terms:
-            omega_i_e = float(np.real(np.trace(ai @ e_c)))
-            for _, aj, bj in ens.terms:
-                omega_j_f = float(np.real(np.trace(aj @ (eye - e_c))))
-                cross = float(np.real(np.trace(bi @ bj)))
-                if abs(omega_i_e * omega_j_f * cross) > 1e-9:
-                    raise NumericalError(
-                        "splitting identity violated across a block boundary"
-                    )
+    complement = np.eye(a.shape[-1]) - e
+    omega_e = np.einsum("cxy,iyx->ci", e, a).real
+    omega_f = np.einsum("cxy,jyx->cj", complement, a).real
+    cross = np.einsum("ixy,jyx->ij", b, b).real
+    identity = omega_e[:, :, None] * omega_f[:, None, :] * cross
+    if (np.abs(identity) > 1e-9).any():
+        raise NumericalError("splitting identity violated across a block boundary")
 
 
 def hermitian_basis(n: int) -> list[np.ndarray]:

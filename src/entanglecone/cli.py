@@ -134,6 +134,10 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Parsing leaves the parser unchanged, so one serves every main() call.
+_PARSER = build_parser()
+
+
 def _resolve_map(source: str) -> MatrixMap:
     if source.startswith("builtin:"):
         name = source[len("builtin:"):]
@@ -153,13 +157,13 @@ def _budget(args) -> Budget:
 
 
 def _emit(doc: dict, args) -> None:
-    if args.format == "text":
-        print(to_text(doc))
-    else:
-        print(dumps(doc))
+    text = to_text(doc) if args.format == "text" else dumps(doc)
+    print(text)
     if args.out and args.command != "search-ppt-entangled":
+        if args.format == "text":
+            text = dumps(doc)
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dumps(doc) + "\n")
+            handle.write(text + "\n")
 
 
 def _cmd_choi(args) -> int:
@@ -241,9 +245,8 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         _tolerances(args)  # reject out-of-range --tol-psd uniformly
         return _DISPATCH[args.command](args)
     except _UsageError as exc:

@@ -81,7 +81,15 @@ def e_matrix(i: int, j: int, n: int) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(as_matrix(a, square=False), as_matrix(b, square=False))
+    """Kronecker product, matrix by matrix for stacks ``(..., k, l)``.
+
+    The entries are np.kron's products, bit for bit.
+    """
+    a = as_matrix(a, square=False, stacked=True)
+    b = as_matrix(b, square=False, stacked=True)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(lead + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def check_bipartite(
@@ -203,15 +211,25 @@ def support_projection(
 
     Eigenvalues at or below the slack threshold count as zero, so the
     support of a numerically tiny perturbation of ``p`` is ``p`` again.
-    The one spectrum also gives the is_psd verdict.
+    The one spectrum also gives the is_psd verdict. A stack
+    ``(..., k, k)`` gives one projection per matrix from one stacked
+    spectrum, each measured against its own norm.
     """
-    a = as_matrix(x)
+    a = as_matrix(x, stacked=True)
     w, v = hermitian_eigen(a, tol)
-    cut = tol.psd_slack * max(1.0, frob(a))
-    if w[-1] < -cut:
+    cut = tol.psd_slack * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    if (w[..., -1] < -cut).any():
         raise DomainError("support projection requires a PSD matrix")
-    keep = v[:, w > cut]
-    return keep @ keep.conj().T
+    # Eigenvalues descend, so each kept set is a leading block of columns.
+    # Matrices of equal rank share one matmul, bit for bit the 2-D product.
+    k = a.shape[-1]
+    v = v.reshape(-1, k, k)
+    rank = (w > cut[..., np.newaxis]).sum(axis=-1).reshape(-1)
+    out = np.empty_like(v)
+    for r in set(rank.tolist()):
+        keep = v[rank == r][..., :r]
+        out[rank == r] = keep @ keep.conj().swapaxes(-1, -2)
+    return out.reshape(a.shape)
 
 
 def projections_orthogonal(

@@ -8,6 +8,7 @@ mathematical validation (PSD checks and so on) to the constructors.
 """
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -25,17 +26,22 @@ from .errors import ParseError
 from .states import SearchResult, StateReport
 
 
+class _Entries(list):
+    """The [re, im] float pairs of one matrix, as built by matrix_to_json.
+
+    A plain list to every reader; the type tells dumps that each item
+    is a pair of Python floats, so it can render them without the
+    stdlib's per-value encoder.
+    """
+
+
 def matrix_to_json(x: np.ndarray) -> dict:
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     rows, cols = a.shape
-    entries = [
-        [float(a[i, j].real), float(a[i, j].imag)]
-        for i in range(rows)
-        for j in range(cols)
-    ]
-    return {"rows": rows, "cols": cols, "entries": entries}
+    pairs = zip(a.real.ravel().tolist(), a.imag.ravel().tolist())
+    return {"rows": rows, "cols": cols, "entries": _Entries(map(list, pairs))}
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -259,9 +265,66 @@ def decomposition_to_json(d: BlockDecomposition) -> dict:
     }
 
 
+# Stands in for each matrix's entries in the skeleton that json encodes.
+# The NULs keep it apart from every string the package writes; a
+# document string equal to it is rejected rather than spliced.
+_SLOT = "\x00entries\x00"
+_SLOT_JSON = json.dumps(_SLOT)
+
+
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, two-space indent."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    """Canonical JSON text: sorted keys, two-space indent.
+
+    The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False)``. That call runs the stdlib's pure-Python encoder
+    (``indent`` rules out the C one), so here it encodes only a
+    skeleton, with a slot in place of each matrix's entries; the
+    entries are rendered with ``float.__repr__``, as json renders
+    floats, and spliced in at their slot's indent. Non-finite values
+    raise ValueError, as with ``allow_nan=False``.
+    """
+    blocks: list[_Entries] = []
+    skeleton = _skeleton(obj, blocks)
+    text = json.dumps(skeleton, sort_keys=True, indent=2, allow_nan=False)
+    parts = text.split(_SLOT_JSON)
+    if len(parts) != len(blocks) + 1:
+        raise ValueError("a document string equals the matrix entries placeholder")
+    out = []
+    for before, entries in zip(parts, blocks):
+        line = before[before.rfind("\n") + 1:]
+        out += [before, _render_entries(entries, len(line) - len(line.lstrip(" ")))]
+    out.append(parts[-1])
+    return "".join(out)
+
+
+def _skeleton(node, blocks: list):
+    """Copy of a document with each _Entries replaced by _SLOT, visited in
+    json's sorted-key order so that blocks[i] fills the i-th slot."""
+    if type(node) is _Entries:
+        blocks.append(node)
+        return _SLOT
+    if isinstance(node, dict):
+        return {key: _skeleton(node[key], blocks) for key in sorted(node)}
+    if isinstance(node, (list, tuple)):
+        return [_skeleton(item, blocks) for item in node]
+    return node
+
+
+def _render_entries(entries: _Entries, indent: int) -> str:
+    """json's indent=2 layout of a list of [re, im] float pairs whose
+    opening bracket sits on a line indented by ``indent`` spaces."""
+    if not entries:
+        return "[]"
+    outer = " " * (indent + 2)
+    inner = " " * (indent + 4)
+    # %r is float.__repr__ on the Python floats matrix_to_json stores.
+    body = f"\n{outer}],\n{outer}[\n{inner}".join(
+        [f"%r,\n{inner}%r"] * len(entries)
+    ) % tuple(itertools.chain.from_iterable(entries))
+    # Finite float reprs hold no "n"; nan, inf and -inf do.
+    if "n" in body:
+        raise ValueError("Out of range float values are not JSON compliant")
+    return f"[\n{outer}[\n{inner}{body}\n{outer}]\n{' ' * indent}]"
 
 
 def to_text(obj, prefix: str = "") -> str:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entanglecone import blocks
 from entanglecone.blocks import (
     NotAbelian,
     SeparableEnsemble,
@@ -12,6 +13,7 @@ from entanglecone.blocks import (
     split_by_projection,
 )
 from entanglecone.duality import (
+    BipartiteState,
     HolevoForm,
     apply_map,
     choi_from_action,
@@ -19,7 +21,7 @@ from entanglecone.duality import (
     identity_map,
     transpose_map,
 )
-from entanglecone.errors import DomainError
+from entanglecone.errors import DomainError, NumericalError
 from entanglecone.linalg import frob
 from entanglecone.rng import derive_stream, random_density, random_hermitian, random_unitary
 
@@ -45,6 +47,27 @@ def test_ensemble_validation():
     s = ens.to_state()
     assert abs(np.trace(s.density).real - 1.0) < 1e-12
     assert frob(s.density - np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)) < 1e-12
+
+
+_PSD_FAULT = np.diag([1.5, -0.5]).astype(complex)  # trace one, not PSD
+_TRACE_FAULT = np.eye(2, dtype=complex)  # PSD, trace two
+
+
+@pytest.mark.parametrize(
+    "faulty, message",
+    [
+        ({2: (_PSD_FAULT, _E11_2)}, "factor a is not PSD"),
+        ({2: (_TRACE_FAULT, _E11_2)}, "factor a must have trace one"),
+        ({2: (_E11_2, _PSD_FAULT)}, "factor b is not PSD"),
+        ({2: (_E11_2, _TRACE_FAULT)}, "factor b must have trace one"),
+        # Of two faulty terms the first reports, whatever its side.
+        ({1: (_E11_2, _PSD_FAULT), 2: (_TRACE_FAULT, _E11_2)}, "factor b is not PSD"),
+    ],
+)
+def test_ensemble_reports_the_first_failing_term(faulty, message):
+    terms = tuple((0.25, *faulty.get(i, (_E11_2, _E22_2))) for i in range(4))
+    with pytest.raises(DomainError, match=message):
+        SeparableEnsemble(terms)
 
 
 def test_ensemble_to_holevo_matches_state():
@@ -229,6 +252,73 @@ def test_decompose_proof_identity_holds():
                     * abs(np.trace(bi @ bj))
                 )
                 assert value <= 1e-9
+
+
+def _diag_units(n):
+    return [np.diag(row).astype(complex) for row in np.eye(n)]
+
+
+def test_decompose_raises_when_a_component_support_misses_a_term():
+    # The last term puts 1.5e-8 on e3: above its own support cut (1e-9),
+    # below its component's, whose twenty copies of e2 raise the cut to
+    # about 2.1e-8, so e3 falls outside the component's support.
+    e1, e2, e3 = _diag_units(3)
+    f1, f2 = _diag_units(2)
+    tilted = (1.0 - 1.5e-8) * e2 + 1.5e-8 * e3
+    rest = 0.5 / 21
+    terms = ((0.5, e1, f1),) + ((rest, e2, f2),) * 20 + ((rest, tilted, f2),)
+    with pytest.raises(NumericalError, match="does not contain one of its terms"):
+        decompose_separable(SeparableEnsemble(terms))
+
+
+def test_decompose_raises_when_components_miss_the_state(monkeypatch):
+    ens = _two_block_ensemble()
+    moved = ens.to_state().density.copy()
+    moved[3, 3] += 1e-7  # inside the second block
+    monkeypatch.setattr(
+        SeparableEnsemble, "to_state", lambda self: BipartiteState(self.dims, moved)
+    )
+    with pytest.raises(NumericalError, match="do not reconstruct the state"):
+        decompose_separable(ens)
+
+
+def test_decompose_raises_when_overlapping_terms_are_split(monkeypatch):
+    # No trace of a product of rank-one projections exceeds 1, so no two
+    # terms join. The last two share their b factor across the boundary
+    # that now splits them, while each a lies inside or outside each e.
+    monkeypatch.setattr(blocks, "_OVERLAP_THRESHOLD", 2.0)
+    e1, e2, e3 = _diag_units(3)
+    f1, f2 = _diag_units(2)
+    terms = ((0.5, e1, f1), (0.25, e2, f2), (0.25, e3, f2))
+    with pytest.raises(NumericalError, match="splitting identity violated"):
+        decompose_separable(SeparableEnsemble(terms))
+
+
+def _two_blocks_of(per_block):
+    stream = derive_stream(508, 0)
+    terms = []
+    for k in range(2):
+        basis = np.zeros((4, 2), dtype=complex)
+        basis[2 * k, 0] = basis[2 * k + 1, 1] = 1.0
+        for _ in range(per_block):
+            a = basis @ random_density(stream, 2) @ basis.T
+            b = basis @ random_density(stream, 2) @ basis.T
+            terms.append((1.0 / (2 * per_block), a, b))
+    return tuple(terms)
+
+
+def test_decompose_eigh_calls_do_not_grow_with_terms(eigh_inputs):
+    counts = []
+    for per_block in (3, 12):  # 6 and 24 terms in the same two blocks
+        terms = _two_blocks_of(per_block)
+        del eigh_inputs[:]
+        result = decompose_separable(SeparableEnsemble(terms))
+        assert [c.indices for c in result.components] == [
+            tuple(range(per_block)),
+            tuple(range(per_block, 2 * per_block)),
+        ]
+        counts.append(len(eigh_inputs))
+    assert counts[0] == counts[1]
 
 
 def test_block_projections_definite_for_projector_ensembles():

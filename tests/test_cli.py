@@ -83,6 +83,18 @@ def test_classify_out_file_matches_stdout(tmp_path, capsys):
     assert json.loads(out) == json.loads(out_path.read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("command", ["decompose", "classify-map"])
+def test_out_file_bytes_equal_stdout(tmp_path, capsys, command):
+    if command == "decompose":
+        argv = ["decompose", _write(tmp_path / "ens.json", _two_block_ensemble_doc())]
+    else:
+        argv = ["classify-map", "builtin:identity2", *_REDUCED]
+    out_path = tmp_path / "report.json"
+    code, out = _run(capsys, [*argv, "--out", str(out_path)])
+    assert code == 0
+    assert out_path.read_bytes() == out.encode("utf-8")
+
+
 def test_classify_stdout_deterministic(capsys):
     argv = ["classify-map", "builtin:choi3", *_REDUCED, "--seed", "5"]
     _, first = _run(capsys, argv)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entanglecone.blocks import BlockComponent, BlockDecomposition, SeparableEnsemble
 from entanglecone.classify import MapClassReport
@@ -16,6 +18,7 @@ from entanglecone.duality import (
 from entanglecone.errors import ParseError
 from entanglecone.rng import derive_stream, gaussian_complex_matrix, random_density
 from entanglecone.serialize import (
+    _SLOT,
     decomposition_to_json,
     dumps,
     ensemble_to_json,
@@ -203,6 +206,80 @@ def test_dumps_is_canonical():
 def test_dumps_rejects_nonfinite():
     with pytest.raises(ValueError):
         dumps({"v": float("nan")})
+
+
+def _stdlib_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
+# Floats at the edges of what repr prints: signed zero, the least
+# subnormal, and near the largest double.
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.1, 1e16]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _matrix_docs(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    size = 2 * rows * cols
+    values = draw(st.lists(_FLOATS, min_size=size, max_size=size))
+    return matrix_to_json(np.array(values).view(np.complex128).reshape(rows, cols))
+
+
+# Keys that sort before, after and between the matrix fields.
+_KEYS = st.sampled_from(
+    ["\x00", "Z", "a", "cols", "e", "entries", "entries0", "entriez", "f", "rows"]
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    _FLOATS,
+    st.text(max_size=3),
+    _matrix_docs(),
+    _matrix_docs().map(lambda doc: doc["entries"]),
+)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(_KEYS, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_DOCS)
+def test_dumps_matches_the_stdlib_encoder(doc):
+    assert dumps(doc) == _stdlib_dumps(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", ["re", "im"])
+def test_dumps_rejects_nonfinite_matrix_entries(bad, where):
+    x = np.ones((2, 2), dtype=complex)
+    x[1, 0] = complex(bad, 0.0) if where == "re" else complex(0.0, bad)
+    doc = {"components": [{"e": matrix_to_json(np.eye(2)), "f": matrix_to_json(x)}]}
+    with pytest.raises(ValueError):
+        dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"note": _SLOT, "m": matrix_to_json(np.eye(2))},
+        {_SLOT: matrix_to_json(np.eye(2))},
+        [matrix_to_json(np.eye(2))["entries"], _SLOT],
+        {"note": _SLOT},
+    ],
+)
+def test_dumps_never_splices_a_string_equal_to_the_placeholder(doc):
+    try:
+        text = dumps(doc)
+    except ValueError:
+        return
+    assert text == _stdlib_dumps(doc)
 
 
 def _sample_state_report() -> StateReport:

@@ -133,6 +133,29 @@ def test_copositive_crosscheck_fault_raises(monkeypatch):
         states._crosscheck_maps.cache_clear()
 
 
+@pytest.mark.parametrize("faulty", [0, 7, states._PPT_CROSSCHECK_SAMPLES - 1])
+def test_copositive_crosscheck_fault_in_one_map_raises(monkeypatch, faulty):
+    # One negated CP map among the random copositive ones: its slice of
+    # the stacked check alone must fail the state.
+    built = []
+    real = states.post_transpose
+
+    def negate_one(f):
+        g = real(f)
+        built.append(g)
+        if len(built) - 1 == faulty:
+            return MatrixMap(g.dim_in, g.dim_out, -g.choi)
+        return g
+
+    monkeypatch.setattr(states, "post_transpose", negate_one)
+    states._crosscheck_maps.cache_clear()
+    try:
+        with pytest.raises(NumericalError, match="random copositive map"):
+            ppt_check(_ppt_product_state())
+    finally:
+        states._crosscheck_maps.cache_clear()
+
+
 def test_transpose_route_fault_fails_peres(monkeypatch):
     # The dual map rebuilt with a negated Choi matrix is not CP.
     monkeypatch.setattr(
@@ -463,8 +486,9 @@ def test_search_finds_ppt_entangled_state():
 def _per_restart_search(witness, budget, seed):
     """Reference: each restart of search_ppt_entangled run on its own.
 
-    Returns (violation, restart, h, converged, steps) per restart, h
-    before the winner's feasibility polish.
+    Returns (violation, restart, h, converged, steps, resets) per
+    restart, h before the winner's feasibility polish and resets the
+    number of times progress cleared a nonzero plateau count.
     """
     n = witness.dim_in
     dims = (n, n)
@@ -487,7 +511,7 @@ def _per_restart_search(witness, budget, seed):
         h = fresh_start(stream)
         correction = np.zeros((n * n, n * n), dtype=complex)
         viol, vec = violation(h)
-        best, plateau, converged, steps = viol, 0, False, 0
+        best, plateau, converged, steps, resets = viol, 0, False, 0, 0
         for _ in range(budget.iterations):
             steps += 1
             grad = -hermitian_part(
@@ -515,24 +539,16 @@ def _per_restart_search(witness, budget, seed):
                     converged = True
                     break
             else:
+                resets += plateau > 0
                 plateau = 0
             best = max(best, viol)
-        runs.append((viol, r, h, converged, steps))
+        runs.append((viol, r, h, converged, steps, resets))
     return runs
 
 
-def test_lockstep_search_matches_per_restart_runs(monkeypatch):
-    # A short plateau makes the restarts leave the stack at different
-    # steps; one of them runs to the step budget.
-    monkeypatch.setattr(states, "_PLATEAU_EXIT", 3)
-    monkeypatch.setattr(states, "_PLATEAU_RELATIVE", 3e-2)
-    witness = builtin_choi_map()
-    budget = Budget(restarts=6, iterations=40)
-    runs = _per_restart_search(witness, budget, seed=0)
-    assert len({run[4] for run in runs}) == 6
-    assert {run[3] for run in runs} == {True, False}
-    _, restart, h, converged, _ = min(runs, key=lambda run: (-run[0], run[1]))
-
+def _assert_lockstep_matches(monkeypatch, witness, budget, runs):
+    """search_ppt_entangled returns the winner of the per-restart runs."""
+    _, restart, h, converged, _, _ = min(runs, key=lambda run: (-run[0], run[1]))
     polished = []
     polish = states._polish_feasibility
 
@@ -550,6 +566,32 @@ def test_lockstep_search_matches_per_restart_runs(monkeypatch):
     assert result.iterations == sum(run[4] for run in runs)
     moved = hermitian_part(apply_to_second(polish(h, (3, 3)), (3, 3), witness))
     assert abs(result.violation + min_eigenpair(moved)[0]) <= 1e-12
+
+
+def test_lockstep_search_matches_per_restart_runs(monkeypatch):
+    # A short plateau makes the restarts leave the stack at different
+    # steps; one of them runs to the step budget.
+    monkeypatch.setattr(states, "_PLATEAU_EXIT", 3)
+    monkeypatch.setattr(states, "_PLATEAU_RELATIVE", 3e-2)
+    witness = builtin_choi_map()
+    budget = Budget(restarts=6, iterations=40)
+    runs = _per_restart_search(witness, budget, seed=0)
+    assert len({run[4] for run in runs}) == 6
+    assert {run[3] for run in runs} == {True, False}
+    _assert_lockstep_matches(monkeypatch, witness, budget, runs)
+
+
+def test_lockstep_search_resets_plateaus_like_per_restart_runs(monkeypatch):
+    # With a lower bar than above, restart 3 makes progress after a flat
+    # step and clears its plateau count. Had it kept the count, it would
+    # have stopped at step 57 instead of running all 60.
+    monkeypatch.setattr(states, "_PLATEAU_EXIT", 5)
+    monkeypatch.setattr(states, "_PLATEAU_RELATIVE", 1e-2)
+    witness = builtin_choi_map()
+    budget = Budget(restarts=4, iterations=60)
+    runs = _per_restart_search(witness, budget, seed=0)
+    assert sum(run[5] for run in runs) > 0
+    _assert_lockstep_matches(monkeypatch, witness, budget, runs)
 
 
 def test_collapsed_candidate_redraws_from_its_own_stream(monkeypatch):
