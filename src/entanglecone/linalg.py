@@ -65,7 +65,10 @@ def frob(x: np.ndarray) -> float:
 
 
 def hermitian_part(x: np.ndarray) -> np.ndarray:
-    return (x + x.conj().swapaxes(-1, -2)) / 2.0
+    """(x + x*) / 2, idempotent bit for bit: both parts are halved as
+    reals, since a complex division by 2 + 0j can flip the sign of a zero."""
+    s = np.add(x, x.conj().swapaxes(-1, -2), order="C")
+    return (s.view(s.real.dtype) * 0.5).view(s.dtype)
 
 
 def hermitian_deviation(x: np.ndarray) -> float | np.ndarray:

@@ -1,8 +1,12 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entanglecone import classify, linalg
 from entanglecone.classify import (
     MAX_RESTARTS,
     Budget,
@@ -26,7 +30,7 @@ from entanglecone.duality import (
     maximally_entangled_matrix,
     transpose_map,
 )
-from entanglecone.errors import DomainError
+from entanglecone.errors import DomainError, NumericalError
 from entanglecone.linalg import (
     DEFAULT_TOL,
     frob,
@@ -237,16 +241,37 @@ def test_builtin_map_registry():
         builtin_map("nonsense")
 
 
+_LIBRARY_NAMES = {
+    2: ["identity2", "transpose2"],
+    3: [
+        "identity3",
+        "transpose3",
+        "choi3",
+        "choi3-tconj",
+        "choi3-post-t",
+        "choi3-twist1",
+        "choi3-twist2",
+    ],
+}
+
+
 def test_default_witness_library_contents():
-    lib2 = default_witness_library(2)
-    names2 = [name for name, _ in lib2.entries]
-    assert names2 == ["identity2", "transpose2"]
-    lib3 = default_witness_library(3)
-    names3 = [name for name, _ in lib3.entries]
-    assert names3[:3] == ["identity3", "transpose3", "choi3"]
-    assert any("choi3" in name and name != "choi3" for name in names3)
-    # Cached: repeated calls return the same object.
-    assert default_witness_library(3) is lib3
+    for m, names in _LIBRARY_NAMES.items():
+        lib = default_witness_library(m)
+        assert [name for name, _ in lib.entries] == names
+        # Cached: repeated calls return the same object.
+        assert default_witness_library(m) is lib
+
+
+@pytest.mark.parametrize(
+    "m, name", [(m, name) for m, names in _LIBRARY_NAMES.items() for name in names]
+)
+def test_witness_library_entry_is_block_positive(m, name):
+    # The library is positive by construction and is not screened at run
+    # time; this is the screen it used to run, entry by entry.
+    f = dict(default_witness_library(m).entries)[name]
+    result = block_positivity_minimize(f.choi, (f.dim_in, f.dim_out), Budget(16, 200))
+    assert result.value >= -DEFAULT_TOL.psd_slack * max(1.0, frob(f.choi))
 
 
 def test_budget_validation():
@@ -330,3 +355,79 @@ def test_block_minimum_certificate_holds_at_the_returned_vectors(n, m, seed, exp
     assert at_vectors <= result.value + slack
     if result.converged:
         assert abs(at_vectors - result.value) <= slack
+
+
+def _top_vectors(v):
+    return v[..., ::-1]
+
+
+def _long_vectors(v):
+    return v * (1.0 + 1e-6)
+
+
+def _tilted_vectors(v):
+    # Unit, and close enough to the bottom eigenvector that its value
+    # stays within the bound; only the eigen-residual gives it away.
+    out = v.copy()
+    out[..., 0] += 3e-6 * v[..., 1]
+    out[..., 0] /= np.linalg.norm(out[..., 0], axis=-1, keepdims=True)
+    return out
+
+
+@pytest.mark.parametrize("fault", [_top_vectors, _long_vectors, _tilted_vectors])
+def test_block_minimizer_rejects_wrong_eigenvectors(monkeypatch, fault):
+    # A solver whose eigenvalues are right but whose eigenvectors of 3x3
+    # stacks are not must not slip a wrong winner through.
+    real = np.linalg.eigh
+
+    def faulty(a, *args, **kwargs):
+        w, v = real(a, *args, **kwargs)
+        return (w, fault(v)) if np.shape(a)[-1] == 3 else (w, v)
+
+    c = builtin_choi_map().choi
+    monkeypatch.setattr(np.linalg, "eigh", faulty)
+    with pytest.raises(NumericalError, match="final check"):
+        block_positivity_minimize(c, (3, 3), _FAST, seed=0)
+
+
+def test_block_minimizer_runs_without_the_checked_solver(monkeypatch):
+    c = builtin_choi_map().choi
+    want = block_positivity_minimize(c, (3, 3), Budget(16, 500), seed=5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the checked eigensolver was called")
+
+    monkeypatch.setattr(linalg, "hermitian_eigen", refuse)
+    monkeypatch.setattr(classify, "hermitian_eigen", refuse, raising=False)
+    got = block_positivity_minimize(c, (3, 3), Budget(16, 500), seed=5)
+    assert (got.value, got.converged, got.restart) == (
+        want.value,
+        want.converged,
+        want.restart,
+    )
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.y.tobytes() == want.y.tobytes()
+
+
+def test_block_minimizer_logs_one_summary(caplog, eigh_inputs):
+    c, budget, seed = builtin_choi_map().choi, Budget(restarts=6, iterations=40), 5
+    runs = _per_restart_minimize(c, (3, 3), budget, seed)
+    del eigh_inputs[:]
+    with caplog.at_level(logging.DEBUG, logger="entanglecone.classify"):
+        result = block_positivity_minimize(c, (3, 3), budget, seed)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "entanglecone.classify"]
+    found = re.fullmatch(
+        r"block positivity: (\d+) restarts, (\d+) half-steps, (\d+) converged; "
+        r"restart (\d+) wins at (\S+); \d+\.\d{3} s",
+        line,
+    )
+    assert found is not None, line
+    restarts, half_steps, converged, winner = (int(g) for g in found.groups()[:4])
+    assert restarts == 6
+    # One stacked solve per half-step, one matrix per active restart.
+    assert half_steps == sum(len(a) for a in eigh_inputs)
+    # Some restarts converge and some reach the iteration cap.
+    assert 0 < converged < restarts
+    assert converged == sum(run[4] for run in runs)
+    assert winner == result.restart == min(runs, key=lambda run: run[:2])[1]
+    assert found.group(5) == f"{result.value:.6e}"

@@ -26,6 +26,7 @@ from entanglecone.duality import (
 )
 from entanglecone.errors import NumericalError
 from entanglecone.linalg import (
+    DEFAULT_TOL,
     hermitian_part,
     is_psd,
     kron,
@@ -697,3 +698,22 @@ def test_search_seed_changes_outcome_details():
     a = search_ppt_entangled(builtin_choi_map(), budget=budget, seed=1)
     b = search_ppt_entangled(builtin_choi_map(), budget=budget, seed=2)
     assert not np.array_equal(a.state.density, b.state.density)
+
+
+def test_search_checks_only_the_polished_winner(monkeypatch):
+    # The ascent's violations come from the bare solver; the checked one
+    # runs once, on the polished winner whose violation is reported.
+    checked = []
+    real = states.hermitian_eigen
+
+    def recording(x, tol):
+        checked.append(np.array(x))
+        return real(x, tol)
+
+    monkeypatch.setattr(states, "hermitian_eigen", recording)
+    witness = builtin_choi_map()
+    result = search_ppt_entangled(witness, Budget(restarts=3, iterations=10), seed=0)
+    (image,) = checked
+    h = result.state.density
+    assert np.array_equal(image, hermitian_part(apply_to_second(h, (3, 3), witness)))
+    assert result.violation == -real(image, DEFAULT_TOL)[0][-1]
