@@ -104,7 +104,8 @@ class SeparableEnsemble:
     def dims(self) -> tuple[int, int]:
         return (self.terms[0][1].shape[0], self.terms[0][2].shape[0])
 
-    def to_state(self) -> BipartiteState:
+    def density_matrix(self) -> np.ndarray:
+        """sum_i w_i a_i (x) b_i, not re-proven PSD."""
         n, m = self.dims
         weights, a, b = _stacked(self)
         # The weighted products fold in term order starting from zero
@@ -112,7 +113,10 @@ class SeparableEnsemble:
         products = weights[:, None, None] * kron(a, b)
         density = np.zeros((1, n * m, n * m), dtype=np.complex128)
         np.add.at(density, np.zeros(len(weights), dtype=int), products)
-        return BipartiteState(self.dims, density[0])
+        return density[0]
+
+    def to_state(self) -> BipartiteState:
+        return BipartiteState(self.dims, self.density_matrix())
 
     def to_holevo(self) -> HolevoForm:
         """The Holevo-form map whose dual functional is this ensemble.
@@ -291,19 +295,20 @@ def decompose_separable(
         raise NumericalError("component support does not contain one of its terms")
 
     reconstructed = np.einsum("c,cxy->xy", weight, density)
-    original = ens.to_state().density
+    original = ens.density_matrix()
     if frob(reconstructed - original) > 1e-9 * max(1.0, frob(original)):
         raise NumericalError("weighted components do not reconstruct the state")
 
     _validate_splitting_identity(a, b, e)
 
+    states = BipartiteState.stack((n, m), density)
     components = tuple(
         BlockComponent(
             tuple(np.flatnonzero(label == s).tolist()),
             e[s],
             f[s],
             float(weight[s]),
-            BipartiteState((n, m), density[s]),
+            states[s],
         )
         for s in range(c)
     )

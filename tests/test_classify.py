@@ -204,6 +204,20 @@ def test_classify_holevo_is_separable_choi():
     assert report.eb_verdict == "certified-separable-choi"
 
 
+def test_classify_cp_map_diagonalises_c_and_its_partial_transpose_once(eigh_inputs):
+    # The battery reuses is_cp on C for its Peres route and is_copositive
+    # on PT2(C) for its first-factor partial transpose of C^T.
+    stream = derive_stream(305, 0)
+    f = kraus_to_map([gaussian_complex_matrix(stream, 3, 3) for _ in range(2)])
+    eigh_inputs.clear()
+    report = classify_map(f, Budget(restarts=2, iterations=20))
+    assert report.cp
+    matrices = [a for stack in eigh_inputs for a in stack.reshape((-1,) + stack.shape[-2:])]
+    pt = partial_transpose(f.choi, (3, 3), "second")
+    for x in (f.choi, pt):
+        assert sum(np.array_equal(a, hermitian_part(x)) for a in matrices) == 1
+
+
 def test_classify_random_holevo_cp_and_copositive():
     stream = derive_stream(303, 0)
     for _ in range(20):
@@ -285,20 +299,25 @@ def test_budget_validation():
 def _per_restart_minimize(c, dims, budget, seed):
     """Each restart as its own loop of 2-D eigensolves, one after another.
 
+    The compressions take the minimiser's arithmetic: one product with the
+    Choi tensor, then a contraction with the other copy of the vector.
     Returns (value, restart, x, y, converged) for every restart.
     """
     n, m = dims
     c4 = c.reshape(n, m, n, m)
+    c_second = c4.reshape(n, m * n * m)
+    c_first = c4.transpose(1, 0, 2, 3).reshape(m, n * n * m)
     scale = max(1.0, frob(c))
     runs = []
     for r in range(budget.restarts):
         x = derive_stream(seed, r).complex_unit_vector(n)
         value, converged = np.inf, False
         for _ in range(budget.iterations):
-            second = np.einsum("i,ikjl,j->kl", x.conj(), c4, x)
-            new_value, y = min_eigenpair(hermitian_part(second))
-            first = np.einsum("k,ikjl,l->ij", y.conj(), c4, y)
-            _, x = min_eigenpair(hermitian_part(first))
+            second = np.einsum("kjl,j->kl", (x.conj() @ c_second).reshape(m, n, m), x)
+            w, v = np.linalg.eigh(second)
+            new_value, y = w[0], v[:, 0]
+            first = np.einsum("ijl,l->ij", (y.conj() @ c_first).reshape(n, n, m), y)
+            x = np.linalg.eigh(first)[1][:, 0]
             converged = abs(value - new_value) < DEFAULT_TOL.convergence * scale
             value = new_value
             if converged:
@@ -335,6 +354,64 @@ def test_lockstep_minimizer_matches_per_restart_loops(case):
     assert result.value == value
     assert np.array_equal(result.x, x)
     assert np.array_equal(result.y, y)
+
+
+def _einsum_route_value(c, dims, budget, seed):
+    """The least value by the minimiser's earlier arithmetic: each
+    compression one three-operand einsum, made exactly Hermitian by
+    hermitian_part before the solve."""
+    n, m = dims
+    c4 = c.reshape(n, m, n, m)
+    scale = max(1.0, frob(c))
+    x = np.stack(
+        [derive_stream(seed, r).complex_unit_vector(n) for r in range(budget.restarts)]
+    )
+    value = np.full(budget.restarts, np.inf)
+    active = np.arange(budget.restarts)
+    for _ in range(budget.iterations):
+        xa = x[active]
+        second = np.einsum("ri,ikjl,rj->rkl", xa.conj(), c4, xa)
+        w, v = np.linalg.eigh(hermitian_part(second))
+        ya = v[:, :, 0]
+        first = np.einsum("rk,ikjl,rl->rij", ya.conj(), c4, ya)
+        x[active] = np.linalg.eigh(hermitian_part(first))[1][:, :, 0]
+        done = np.abs(value[active] - w[:, 0]) < DEFAULT_TOL.convergence * scale
+        value[active] = w[:, 0]
+        active = active[~done]
+        if active.size == 0:
+            break
+    return value.min()
+
+
+def _route_cases():
+    budget = Budget(restarts=6, iterations=200)
+    cases = [
+        ("choi3-capped", builtin_choi_map().choi, (3, 3), Budget(16, 500), 5),
+        ("random-9x9", random_hermitian(derive_stream(311, 0), 9), (3, 3), budget, 11),
+        ("all-tied", np.zeros((9, 9), dtype=complex), (3, 3), budget, 11),
+    ]
+    for dims in ((2, 3), (3, 2)):
+        c = random_hermitian(derive_stream(312, dims[0]), 6)
+        cases.append((f"dims-{dims[0]}x{dims[1]}", c, dims, budget, 11))
+    for restarts in (16, 64):
+        for seed in range(3):
+            c = builtin_choi_map().choi
+            cases.append((f"choi3-{restarts}-{seed}", c, (3, 3), Budget(restarts, 500), seed))
+    for n, m in ((2, 3), (3, 2), (2, 2), (3, 4), (3, 3), (4, 3)):
+        for k in range(5):
+            c = random_hermitian(derive_stream(313 + k, 10 * n + m), n * m)
+            cases.append((f"random-{n}x{m}-{k}", c, (n, m), Budget(16, 300), k))
+    return cases
+
+
+@pytest.mark.parametrize("case", _route_cases(), ids=lambda case: case[0])
+def test_minimizer_value_agrees_with_the_einsum_route(case):
+    # The compressions now round differently on dense matrices; the value
+    # must still agree with the earlier route to the convergence bound.
+    _, c, dims, budget, seed = case
+    result = block_positivity_minimize(c, dims, budget, seed)
+    bound = DEFAULT_TOL.convergence * max(1.0, frob(c))
+    assert abs(result.value - _einsum_route_value(c, dims, budget, seed)) <= bound
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -232,7 +232,9 @@ def test_state_from_map_one_spectrum_and_tolerances(eigh_inputs):
         classify_map(g, budget, tol=tol)
         eigh_inputs.clear()
         classify_map(g, budget, tol=tol)
-        assert sum(np.array_equal(a, density) for a in eigh_inputs) == count
+        # The battery diagonalises its witness outputs as one stack.
+        matrices = [a for stack in eigh_inputs for a in stack.reshape((-1,) + stack.shape[-2:])]
+        assert sum(np.array_equal(a, density) for a in matrices) == count
 
 
 def test_choi_size_cap_checked_before_allocation():
@@ -353,6 +355,26 @@ def test_bipartite_state_validation():
     s = BipartiteState((2, 2), np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex))
     t = s.normalized()
     assert abs(np.trace(t.density).real - 1.0) < 1e-13
+
+
+def test_bipartite_state_stack_proves_every_state_with_one_spectrum(eigh_inputs):
+    stream = derive_stream(221, 0)
+    densities = np.stack([random_density(stream, 6) for _ in range(3)])
+    eigh_inputs.clear()
+    states = BipartiteState.stack((2, 3), densities)
+    assert len(eigh_inputs) == 1
+    assert [s.dims for s in states] == [(2, 3)] * 3
+    assert all(np.array_equal(s.density, d) for s, d in zip(states, densities))
+    # The constructor's checks and messages, for any member of the stack.
+    bad = densities.copy()
+    bad[1] = np.diag([1.0, -0.2, 0.1, 0.1, 0.0, 0.0])
+    with pytest.raises(DomainError, match="not PSD"):
+        BipartiteState.stack((2, 3), bad)
+    bad[1] = np.zeros((6, 6))
+    with pytest.raises(DomainError, match="positive trace"):
+        BipartiteState.stack((2, 3), bad)
+    with pytest.raises(DimensionError):
+        BipartiteState.stack((3, 3), densities)
 
 
 def test_holevo_form_validation():

@@ -1,7 +1,10 @@
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entanglecone.rng import (
     SplitMix64,
+    complex_unit_vectors,
     derive_stream,
     gaussian_complex_matrix,
     random_density,
@@ -92,3 +95,21 @@ def test_gaussian_complex_matrix_shape_and_scale():
     assert m.shape == (100, 100)
     # Entries are standard complex gaussians: unit expected |z|^2.
     assert abs(np.mean(np.abs(m) ** 2) - 1.0) < 0.05
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    dim=st.integers(1, 9),
+    count=st.integers(1, 64),
+)
+@example(seed=0, dim=1, count=1)
+@example(seed=2**64 - 1, dim=9, count=64)
+def test_complex_unit_vectors_match_the_scalar_streams(seed, dim, count):
+    # Bit for bit, signed zeros included: row r is restart r's stream.
+    want = np.stack(
+        [derive_stream(seed, r).complex_unit_vector(dim) for r in range(count)]
+    )
+    got = complex_unit_vectors(seed, count, dim)
+    assert got.shape == (count, dim)
+    assert got.tobytes() == want.tobytes()

@@ -15,7 +15,8 @@ from entanglecone.duality import (
     kraus_to_map,
     maximally_entangled_matrix,
 )
-from entanglecone.errors import ParseError
+from entanglecone.errors import DomainError, ParseError
+from entanglecone.linalg import as_matrix
 from entanglecone.rng import derive_stream, gaussian_complex_matrix, random_density
 from entanglecone.serialize import (
     _SLOT,
@@ -73,6 +74,61 @@ def test_matrix_vector_becomes_column():
 def test_matrix_from_json_rejects_malformed(doc):
     with pytest.raises(ParseError):
         matrix_from_json(doc)
+
+
+def _pairwise_parse(entries, rows, cols):
+    """The entry-by-entry parse: float(re) + 1j * float(im)."""
+    out = np.empty((rows, cols), dtype=np.complex128)
+    for k, (re, im) in enumerate(entries):
+        out[k // cols, k % cols] = float(re) + 1j * float(im)
+    return out
+
+
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 1, True, False]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    data=st.data(),
+)
+def test_matrix_from_json_matches_the_pairwise_parse(shape, data):
+    # Bit for bit, signed zeros included.
+    rows, cols = shape
+    entries = data.draw(
+        st.lists(st.lists(_PARTS, min_size=2, max_size=2), min_size=rows * cols,
+                 max_size=rows * cols)
+    )
+    doc = {"rows": rows, "cols": cols, "entries": entries}
+    assert matrix_from_json(doc).tobytes() == _pairwise_parse(entries, rows, cols).tobytes()
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[None, 1.0], [1.0, 0.0]], "numeric"),
+        ([[1.0, 0.0], [1.0, None]], "numeric"),
+        ([["x", 1.0], [1.0]], "numeric"),
+        ([[1.0, 0.0], [1.0]], "pairs"),
+        ([[1.0], [None, 1.0]], "pairs"),
+        ([(1.0, 0.0), [1.0, 0.0]], "pairs"),
+    ],
+)
+def test_matrix_from_json_reports_the_first_bad_entry(entries, message):
+    with pytest.raises(ParseError, match=message):
+        matrix_from_json({"rows": 1, "cols": 2, "entries": entries})
+
+
+def test_matrix_from_json_leaves_nonfinite_entries_to_the_constructors():
+    doc = json.loads('{"rows": 1, "cols": 2, "entries": [[NaN, 0.0], [Infinity, 1.0]]}')
+    parsed = matrix_from_json(doc)
+    assert np.isnan(parsed[0, 0].real) and np.isinf(parsed[0, 1].real)
+    with pytest.raises(DomainError, match="non-finite"):
+        as_matrix(parsed, square=False)
 
 
 def test_map_roundtrip_choi():

@@ -82,7 +82,10 @@ def test_ppt_check_product_mixtures_always_pass():
 
 
 def _equal_count(arrays, x):
-    return sum(1 for a in arrays if a.shape == x.shape and np.array_equal(a, x))
+    """How many of the matrices in arrays, stacks included, equal x."""
+    return sum(
+        np.array_equal(a, x) for stack in arrays for a in stack.reshape((-1,) + stack.shape[-2:])
+    )
 
 
 def test_battery_diagonalises_each_partial_transpose_once(eigh_inputs):
