@@ -1,8 +1,8 @@
 """Block structure of separable ensembles and abelian-range analyses.
 
 A separable ensemble splits into components whose factor supports are
-mutually orthogonal; the split is found by union-find over pairwise
-support overlaps. The definite set of a map (self-adjoint a with
+mutually orthogonal; the split is found as the connected components of
+pairwise support overlaps. The definite set of a map (self-adjoint a with
 phi(a^2) = phi(a)^2) drives the splitting identities, and unital
 idempotent maps are separable-versus-entangled decidable through
 commutativity of their range.
@@ -26,6 +26,7 @@ from .duality import (
 )
 from .errors import DimensionError, DomainError, NumericalError
 from .linalg import (
+    CONVERGENCE,
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
@@ -35,6 +36,7 @@ from .linalg import (
     hermitian_eigen,
     hermitian_part,
     kron,
+    psd_verdicts,
     support_projection,
 )
 from .rng import derive_stream, random_hermitian
@@ -84,12 +86,9 @@ class SeparableEnsemble:
         _, a, b = _stacked(self)
         faults = []
         for label, factors in (("a", a), ("b", b)):
-            w, _ = hermitian_eigen(factors)
-            norm = np.linalg.norm(factors, axis=(-2, -1))
             trace = np.trace(factors, axis1=-2, axis2=-1).real
             faults += [
-                (w[:, -1] < -DEFAULT_TOL.psd_slack * np.maximum(1.0, norm),
-                 f"ensemble factor {label} is not PSD"),
+                (~psd_verdicts(factors)[0], f"ensemble factor {label} is not PSD"),
                 (np.abs(trace - 1.0) > 1e-9,
                  f"ensemble factor {label} must have trace one"),
             ]
@@ -152,37 +151,14 @@ class BlockDecomposition:
     max_cross_overlap: float
 
 
-class _UnionFind:
-    """Disjoint sets over range(n); roots are the smallest members."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if rj < ri:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-
-
-def is_definite_element(
-    f: MatrixMap, a: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> bool:
-    """Whether phi(a^2) = phi(a)^2 within tolerance."""
+def is_definite_element(f: MatrixMap, a: np.ndarray) -> bool:
+    """Whether phi(a^2) = phi(a)^2 within CONVERGENCE."""
     a = as_matrix(a)
-    if hermitian_deviation(a) > tol.convergence * max(1.0, frob(a)):
+    if hermitian_deviation(a) > CONVERGENCE * max(1.0, frob(a)):
         raise DomainError("definite-set membership is defined for Hermitian inputs")
     fa = apply_map(f, a)
     fa2 = apply_map(f, a @ a)
-    return frob(fa2 - fa @ fa) <= tol.convergence * max(1.0, frob(fa) ** 2)
+    return frob(fa2 - fa @ fa) <= CONVERGENCE * max(1.0, frob(fa) ** 2)
 
 
 def _is_projection(p: np.ndarray, tol: Tolerances) -> bool:
@@ -217,7 +193,7 @@ def split_by_projection(
         raise DimensionError("projection size does not match map input")
     if not _is_projection(e, tol):
         raise DomainError("splitting requires a projection")
-    if not is_definite_element(f, e, tol):
+    if not is_definite_element(f, e):
         raise DomainError("projection is not in the definite set of the map")
 
     fc = np.eye(f.dim_in) - e
@@ -262,12 +238,14 @@ def decompose_separable(
         supports = support_projection(factors, tol)
         overlap = np.einsum("ixy,jyx->ij", supports, supports).real
         related |= overlap > _OVERLAP_THRESHOLD
-    uf = _UnionFind(k)
-    for i, j in zip(*np.nonzero(np.triu(related, 1))):
-        uf.union(int(i), int(j))
-    # Roots are smallest members, so sorted roots order the components
-    # by their first term and label[i] is term i's component.
-    roots, label = np.unique([uf.find(i) for i in range(k)], return_inverse=True)
+    # Square the relation until it stops growing: each term then reaches its
+    # whole component, whose smallest term (the row's first True) is the root
+    # and orders the components; label[i] is term i's component.
+    related = np.triu(related, 1)
+    reach = related | related.T | np.eye(k, dtype=bool)
+    while not np.array_equal(grown := reach @ reach, reach):
+        reach = grown
+    roots, label = np.unique(reach.argmax(axis=1), return_inverse=True)
     c = len(roots)
 
     # Per-component sums fold their terms in index order starting from
@@ -429,13 +407,13 @@ def abelian_range_decompose(
         for l in range(k + 1, len(images)):
             comm = images[k] @ images[l] - images[l] @ images[k]
             norm = frob(comm)
-            if norm > tol.convergence * max(1.0, frob(images[k]) * frob(images[l])):
+            if norm > CONVERGENCE * max(1.0, frob(images[k]) * frob(images[l])):
                 return NotAbelian((k, l), norm)
 
     stream = derive_stream(_DIAG_SEED, 0)
     coeffs = stream.gaussian_vector(len(images))
     combo = hermitian_part(sum(c * g for c, g in zip(coeffs, images)))
-    w, v = hermitian_eigen(combo, tol)
+    w, v = hermitian_eigen(combo)
     blocks = [v[:, idx] for idx in _cluster_indices(w)]
     blocks = _refine_clusters(blocks, images, 1, 0)
 
@@ -488,11 +466,11 @@ def conditional_expectation_verdict(
         raise DomainError("a conditional expectation maps an algebra to itself")
     n = f.dim_in
     eye = np.eye(n)
-    if frob(apply_map(f, eye) - eye) > tol.convergence * max(1.0, float(n)):
+    if frob(apply_map(f, eye) - eye) > CONVERGENCE * max(1.0, float(n)):
         raise DomainError("map is not unital")
     for h in hermitian_basis(n):
         fh = apply_map(f, h)
-        if frob(apply_map(f, fh) - fh) > tol.convergence * max(1.0, frob(fh)):
+        if frob(apply_map(f, fh) - fh) > CONVERGENCE * max(1.0, frob(fh)):
             raise DomainError("map is not idempotent")
 
     outcome = abelian_range_decompose(f, tol)

@@ -31,6 +31,7 @@ from .duality import (
 )
 from .errors import DomainError, NumericalError
 from .linalg import (
+    CONVERGENCE,
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
@@ -38,6 +39,7 @@ from .linalg import (
     hermitian_part,
     is_psd,
     partial_transpose,
+    psd_floor,
 )
 from .rng import complex_unit_vectors, derive_stream, random_unitary
 
@@ -97,7 +99,6 @@ def block_positivity_minimize(
     dims: tuple[int, int],
     budget: Budget = DEFAULT_BUDGET,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> BlockMinimum:
     """Minimize <x (x) y, C (x (x) y)> over unit product vectors.
 
@@ -124,7 +125,7 @@ def block_positivity_minimize(
 
     started = time.perf_counter()
     restarts = budget.restarts
-    bound = tol.convergence * scale
+    bound = CONVERGENCE * scale
     # Each compression is a product with the Choi tensor, conjugated
     # factor's index first, then a contraction with the other copy of the
     # vector: (x* (x) I) C (x (x) I) and (I (x) y*) C (I (x) y). The product
@@ -176,7 +177,7 @@ def block_positivity_minimize(
     lam = float(np.real(xb.conj() @ lx))
     unit = max(abs(np.linalg.norm(xb) - 1.0), abs(np.linalg.norm(yb) - 1.0))
     residual = float(np.linalg.norm(lx - lam * xb))
-    if unit > tol.convergence or lam > value[best] + bound or residual > bound:
+    if unit > CONVERGENCE or lam > value[best] + bound or residual > bound:
         raise NumericalError(
             f"block minimum fails its final check: unit error {unit:.3e}, value "
             f"{value[best]:.6e} but {lam:.6e} at its vectors, residual {residual:.3e}"
@@ -241,9 +242,8 @@ def classify_map(
     """Run the full battery of cone-membership tests on one map."""
     cp, cp_witness = is_cp(f, tol)
     cop, cop_witness = is_copositive(f, tol)
-    best = block_positivity_minimize(f.choi, (f.dim_in, f.dim_out), budget, seed, tol)
-    slack = tol.psd_slack * max(1.0, frob(f.choi))
-    if best.value < -slack:
+    best = block_positivity_minimize(f.choi, (f.dim_in, f.dim_out), budget, seed)
+    if best.value < psd_floor(f.choi, tol):
         positive_verdict = CERTIFIED_NONPOSITIVE
     else:
         positive_verdict = PROBABLY_POSITIVE

@@ -28,10 +28,10 @@ from .linalg import (
     e_matrix,
     frob,
     hermitian_deviation,
-    hermitian_eigen,
     is_psd,
     kron,
     partial_transpose,
+    psd_verdicts,
 )
 
 # Cap on n*m, the side of a map's Choi matrix, checked before the Choi
@@ -73,8 +73,7 @@ class HolevoForm:
             if omega.shape[0] != n or b.shape[0] != m:
                 raise DimensionError("inconsistent term dimensions in Holevo form")
             for part, label in ((omega, "omega"), (b, "b")):
-                ok, _ = is_psd(part)
-                if not ok:
+                if not is_psd(part)[0]:
                     raise DomainError(f"Holevo term {label} is not PSD")
             if frob(b) == 0.0:
                 raise DomainError("Holevo term b must be nonzero")
@@ -143,8 +142,7 @@ class BipartiteState:
             raise DimensionError(
                 f"density shape {self.density.shape} does not match dims {self.dims}"
             )
-        ok, _ = is_psd(self.density)
-        if not ok:
+        if not is_psd(self.density)[0]:
             raise DomainError("state density is not PSD within tolerance")
         if self.mass <= 0.0:
             raise DomainError("state must have positive trace")
@@ -157,9 +155,7 @@ class BipartiteState:
         the constructor, taken with one stacked spectrum."""
         dims = (int(dims[0]), int(dims[1]))
         densities = check_bipartite(densities, dims, stacked=True)
-        w, _ = hermitian_eigen(densities)
-        norm = np.linalg.norm(densities, axis=(-2, -1))
-        if (w[:, -1] < -DEFAULT_TOL.psd_slack * np.maximum(1.0, norm)).any():
+        if not psd_verdicts(densities)[0].all():
             raise DomainError("state density is not PSD within tolerance")
         if (np.trace(densities, axis1=1, axis2=2).real <= 0.0).any():
             raise DomainError("state must have positive trace")

@@ -19,27 +19,26 @@ FIRST = "first"
 SECOND = "second"
 
 
+# Threshold of the eigensolver's Hermiticity and residual checks, and of
+# the iterations' convergence tests; relative to the operand's norm.
+CONVERGENCE = 1e-10
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared by every analysis routine.
+    """The one user-settable threshold, the CLI's --tol-psd.
 
     psd_slack   slack below zero allowed for "positive semidefinite",
-                scaled by max(1, Frobenius norm) of the operand.
-    eig_offdiag Hermiticity deviation accepted by the eigensolver.
-    convergence iteration and consistency-check threshold.
+                scaled by max(1, Frobenius norm) of the operand (psd_floor).
     """
 
     psd_slack: float = 1e-9
-    eig_offdiag: float = 1e-12
-    convergence: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("psd_slack", "eig_offdiag", "convergence"):
-            value = getattr(self, name)
-            if not (0.0 < value <= 1e-3):
-                raise DomainError(
-                    f"tolerance {name}={value!r} must lie in (0, 1e-3]"
-                )
+        if not (0.0 < self.psd_slack <= 1e-3):
+            raise DomainError(
+                f"tolerance psd_slack={self.psd_slack!r} must lie in (0, 1e-3]"
+            )
 
 
 DEFAULT_TOL = Tolerances()
@@ -153,9 +152,7 @@ def partial_trace(
     return np.einsum("ikjk->ij", a)
 
 
-def hermitian_eigen(
-    x: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigen(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a Hermitian matrix or a stack of them.
 
     Returns ``(w, V)`` with eigenvalues ``w`` sorted descending and the
@@ -163,12 +160,12 @@ def hermitian_eigen(
     ``(..., k, k)`` gives ``w`` of shape ``(..., k)`` and ``V`` of
     shape ``(..., k, k)``, each slice equal to the call on that matrix.
     Raises DomainError when any matrix is not Hermitian within
-    tolerance and NumericalError when the residual check fails
+    CONVERGENCE and NumericalError when the residual check fails
     afterwards; each matrix is measured against its own norm.
     """
     a = as_matrix(x, stacked=True)
     norm = np.linalg.norm(a, axis=(-2, -1))
-    if (hermitian_deviation(a) > tol.convergence * norm).any():
+    if (hermitian_deviation(a) > CONVERGENCE * norm).any():
         raise DomainError("matrix is not Hermitian within tolerance")
     # Symmetrize to absorb roundoff before handing to the solver.
     h = hermitian_part(a)
@@ -177,18 +174,34 @@ def hermitian_eigen(
     w = np.ascontiguousarray(w[..., ::-1])
     v = np.ascontiguousarray(v[..., ::-1])
     residual = np.linalg.norm(h @ v - v * w[..., np.newaxis, :], axis=(-2, -1))
-    if (residual > tol.convergence * np.maximum(1.0, norm)).any():
+    if (residual > CONVERGENCE * np.maximum(1.0, norm)).any():
         raise NumericalError(
             f"eigendecomposition residual {np.max(residual):.3e} exceeds tolerance"
         )
     return w, v
 
 
-def min_eigenpair(
-    x: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> tuple[float, np.ndarray]:
-    w, v = hermitian_eigen(x, tol)
+def min_eigenpair(x: np.ndarray) -> tuple[float, np.ndarray]:
+    w, v = hermitian_eigen(x)
     return float(w[-1]), v[:, -1]
+
+
+def psd_floor(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float | np.ndarray:
+    """-psd_slack * max(1, ||x||_F), per matrix for a stack: the least
+    eigenvalue that still counts as positive semidefinite."""
+    return -tol.psd_slack * np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1)))
+
+
+def psd_verdicts(
+    x: np.ndarray, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per matrix of x, one matrix or a stack ``(..., k, k)``: whether
+    its least eigenvalue clears psd_floor, that eigenvalue and its unit
+    eigenvector, all from one checked hermitian_eigen call."""
+    a = as_matrix(x, stacked=True)
+    w, v = hermitian_eigen(a)
+    low = w[..., -1]
+    return low >= psd_floor(a, tol), low, v[..., -1]
 
 
 def is_psd(
@@ -197,14 +210,11 @@ def is_psd(
     """Positive-semidefiniteness test with a witness on failure.
 
     Returns ``(True, None)`` when the least eigenvalue clears
-    ``-psd_slack * max(1, ||x||_F)``, otherwise ``(False, v)`` where the
-    unit vector ``v`` satisfies ``<v, x v> < 0`` beyond slack.
+    psd_floor, otherwise ``(False, v)`` where the unit vector ``v``
+    satisfies ``<v, x v> < 0`` beyond slack.
     """
-    a = as_matrix(x)
-    lo, vec = min_eigenpair(a, tol)
-    if lo >= -tol.psd_slack * max(1.0, frob(a)):
-        return True, None
-    return False, vec
+    ok, _, vec = psd_verdicts(as_matrix(x), tol)
+    return (True, None) if ok else (False, vec)
 
 
 def support_projection(
@@ -219,26 +229,17 @@ def support_projection(
     spectrum, each measured against its own norm.
     """
     a = as_matrix(x, stacked=True)
-    w, v = hermitian_eigen(a, tol)
-    cut = tol.psd_slack * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
-    if (w[..., -1] < -cut).any():
+    w, v = hermitian_eigen(a)
+    floor = psd_floor(a, tol)
+    if (w[..., -1] < floor).any():
         raise DomainError("support projection requires a PSD matrix")
     # Eigenvalues descend, so each kept set is a leading block of columns.
     # Matrices of equal rank share one matmul, bit for bit the 2-D product.
     k = a.shape[-1]
     v = v.reshape(-1, k, k)
-    rank = (w > cut[..., np.newaxis]).sum(axis=-1).reshape(-1)
+    rank = (w > -floor[..., np.newaxis]).sum(axis=-1).reshape(-1)
     out = np.empty_like(v)
     for r in set(rank.tolist()):
         keep = v[rank == r][..., :r]
         out[rank == r] = keep @ keep.conj().swapaxes(-1, -2)
     return out.reshape(a.shape)
-
-
-def projections_orthogonal(
-    p: np.ndarray, q: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> bool:
-    """Whether two projections have orthogonal ranges, ||p q|| ~ 0."""
-    return float(np.linalg.norm(as_matrix(p) @ as_matrix(q))) <= tol.psd_slack * max(
-        1.0, frob(p) * frob(q)
-    )

@@ -35,8 +35,8 @@ from .linalg import (
     hermitian_eigen,
     hermitian_part,
     is_psd,
-    min_eigenpair,
     partial_transpose,
+    psd_verdicts,
     transpose_second,
 )
 from .rng import SplitMix64, derive_stream, gaussian_complex_matrix
@@ -68,6 +68,9 @@ _DYKSTRA_GAP = DEFAULT_TOL.psd_slack
 # Past sweeps combined by each Anderson step of _dykstra. Near the common
 # boundary of the cones, 16 needed fewer sweeps than 5 or 8.
 _DYKSTRA_MEMORY = 16
+# _polish_feasibility's relative target slack and its cap on rounds.
+_POLISH_TARGET = 1e-12
+_POLISH_ROUNDS = 200
 
 SEARCH_BUDGET = Budget(restarts=16, iterations=200)
 
@@ -77,17 +80,15 @@ def _ppt_spectra(
 ) -> tuple[bool, float, np.ndarray]:
     """The second-factor partial transpose's verdict, least eigenvalue
     and matching eigenvector, from one spectrum."""
-    pt = partial_transpose(s.density, s.dims, "second")
-    low, vec = min_eigenpair(pt, tol)
-    return low >= -tol.psd_slack * max(1.0, frob(pt)), low, vec
+    ok, low, vec = psd_verdicts(partial_transpose(s.density, s.dims, "second"), tol)
+    return bool(ok), float(low), vec
 
 
 def _copositive_dual(s: BipartiteState, tol: Tolerances) -> bool:
     """The first-factor partial transpose's verdict. That array is, entry
     for entry, the second-factor partial transpose of the global
     transpose of the density: the copositivity test of the dual map."""
-    ok, _ = is_psd(partial_transpose(s.density, s.dims, "first"), tol)
-    return ok
+    return is_psd(partial_transpose(s.density, s.dims, "first"), tol)[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -119,9 +120,7 @@ def _crosscheck_ppt(
         x4 = s.density.reshape(n, m, n, m)
         out = np.einsum("ikjl,skalb->siajb", x4, choi4)
         out = hermitian_part(out.reshape(len(choi4), n * m, n * m))
-        w, _ = hermitian_eigen(out, tol)
-        slack = tol.psd_slack * np.maximum(1.0, np.linalg.norm(out, axis=(-2, -1)))
-        if (w[:, -1] < -slack).any():
+        if not psd_verdicts(out, tol)[0].all():
             raise NumericalError(
                 "a random copositive map produced a negative output "
                 "on a state that passed the partial-transpose test"
@@ -189,12 +188,10 @@ def witness_battery(
     otherwise the battery takes them from the state.
     """
     n, m = s.dims
-    if tol != DEFAULT_TOL:
-        # BipartiteState checked PSD at the default slack; the hits below
-        # use tol's, so a density that dips below that slack is no state.
-        ok, _ = is_psd(s.density, tol)
-        if not ok:
-            raise DomainError("state density is not PSD within tolerance")
+    # BipartiteState checked PSD at the default slack; the hits below use
+    # tol's, so a density that dips below that slack is no state.
+    if tol != DEFAULT_TOL and not is_psd(s.density, tol)[0]:
+        raise DomainError("state density is not PSD within tolerance")
     lib = lib if lib is not None else default_witness_library(m)
     ppt, ppt_eig, ppt_vec = _ppt_spectra(s, tol)
     if dual_verdicts is None:
@@ -219,12 +216,12 @@ def witness_battery(
     spectra = {}
     for size in {out.shape[-1] for _, out in outputs}:
         group = [out for _, out in outputs if out.shape[-1] == size]
-        spectra[size] = iter(zip(*hermitian_eigen(np.stack(group), tol)))
+        spectra[size] = iter(zip(*psd_verdicts(np.stack(group), tol)))
     hits: list[WitnessHit] = []
     for name, out in outputs:
-        w, v = next(spectra[out.shape[-1]])
-        if w[-1] < -tol.psd_slack * max(1.0, frob(out)):
-            hits.append(WitnessHit(name, float(w[-1]), v[:, -1]))
+        ok, low, vec = next(spectra[out.shape[-1]])
+        if not ok:
+            hits.append(WitnessHit(name, float(low), vec))
 
     if separable_certificate and hits:
         raise NumericalError(
@@ -637,7 +634,7 @@ def search_ppt_entangled(
     winner = int(np.argmax(viol))  # the first maximum: the lowest restart index
     h = _polish_feasibility(h[winner], dims)
     # The certified figure comes from the checked solver.
-    w, _ = hermitian_eigen(hermitian_part(apply_to_second(h, dims, witness)), tol)
+    w, _ = hermitian_eigen(hermitian_part(apply_to_second(h, dims, witness)))
     logger.debug(
         "search %s: %d restarts, %d ascent steps, %d projection calls, "
         "%d matrix-sweeps, %d cap hits; start %.3f s, ascent %.3f s, "
@@ -662,21 +659,19 @@ def search_ppt_entangled(
     )
 
 
-def _polish_feasibility(
-    h: np.ndarray, dims: tuple[int, int], target: float = 1e-12, rounds: int = 200
-) -> np.ndarray:
-    """Alternating projections until both spectra clear the target slack.
+def _polish_feasibility(h: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Alternating projections until both spectra clear _POLISH_TARGET.
 
     The ascent leaves iterates feasible only up to the Dykstra exit
     gap; certificates deserve more headroom than that.
     """
-    for _ in range(rounds):
+    for _ in range(_POLISH_ROUNDS):
         scale = max(1.0, frob(h))
         low_direct = np.linalg.eigvalsh(hermitian_part(h))[0]
         low_pt = np.linalg.eigvalsh(
             hermitian_part(partial_transpose(h, dims, "second"))
         )[0]
-        if low_direct >= -target * scale and low_pt >= -target * scale:
+        if low_direct >= -_POLISH_TARGET * scale and low_pt >= -_POLISH_TARGET * scale:
             break
         h = _proj_pt_psd(_proj_psd(h), dims)
         h = h / np.real(np.trace(h))

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entanglecone import blocks
 from entanglecone.blocks import (
@@ -278,6 +282,44 @@ def test_decompose_raises_when_components_miss_the_state(monkeypatch):
     monkeypatch.setattr(SeparableEnsemble, "density_matrix", lambda self: moved)
     with pytest.raises(NumericalError, match="do not reconstruct the state"):
         decompose_separable(ens)
+
+
+def _components_by_union_find(subsets):
+    """Reference labelling: terms meet when their subsets intersect; each
+    component lists its terms in index order, components by first term."""
+    parent = list(range(len(subsets)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(subsets)), 2):
+        if subsets[i] & subsets[j]:
+            ri, rj = sorted((find(i), find(j)))
+            parent[rj] = ri
+    groups = {}
+    for i in range(len(subsets)):
+        groups.setdefault(find(i), []).append(i)
+    return [tuple(g) for _, g in sorted(groups.items())]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.sets(st.integers(0, 5), min_size=1, max_size=2), min_size=1, max_size=8))
+def test_decompose_components_match_union_find(subsets):
+    # Term i's a factor is uniform on the basis vectors in subsets[i] and
+    # its b factor is e_ii, so two terms overlap exactly when their
+    # subsets intersect; chains of any length must link into one block.
+    k = len(subsets)
+    terms = []
+    for i, subset in enumerate(subsets):
+        a = np.zeros((6, 6), dtype=complex)
+        a[sorted(subset), sorted(subset)] = 1.0 / len(subset)
+        b = np.zeros((k, k), dtype=complex)
+        b[i, i] = 1.0
+        terms.append((1.0 / k, a, b))
+    result = decompose_separable(SeparableEnsemble(tuple(terms)))
+    assert [c.indices for c in result.components] == _components_by_union_find(subsets)
 
 
 def test_decompose_raises_when_overlapping_terms_are_split(monkeypatch):

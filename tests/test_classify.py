@@ -32,6 +32,7 @@ from entanglecone.duality import (
 )
 from entanglecone.errors import DomainError, NumericalError
 from entanglecone.linalg import (
+    CONVERGENCE,
     DEFAULT_TOL,
     frob,
     hermitian_part,
@@ -318,7 +319,7 @@ def _per_restart_minimize(c, dims, budget, seed):
             new_value, y = w[0], v[:, 0]
             first = np.einsum("ijl,l->ij", (y.conj() @ c_first).reshape(n, n, m), y)
             x = np.linalg.eigh(first)[1][:, 0]
-            converged = abs(value - new_value) < DEFAULT_TOL.convergence * scale
+            converged = abs(value - new_value) < CONVERGENCE * scale
             value = new_value
             if converged:
                 break
@@ -375,7 +376,7 @@ def _einsum_route_value(c, dims, budget, seed):
         ya = v[:, :, 0]
         first = np.einsum("rk,ikjl,rl->rij", ya.conj(), c4, ya)
         x[active] = np.linalg.eigh(hermitian_part(first))[1][:, :, 0]
-        done = np.abs(value[active] - w[:, 0]) < DEFAULT_TOL.convergence * scale
+        done = np.abs(value[active] - w[:, 0]) < CONVERGENCE * scale
         value[active] = w[:, 0]
         active = active[~done]
         if active.size == 0:
@@ -410,7 +411,7 @@ def test_minimizer_value_agrees_with_the_einsum_route(case):
     # must still agree with the earlier route to the convergence bound.
     _, c, dims, budget, seed = case
     result = block_positivity_minimize(c, dims, budget, seed)
-    bound = DEFAULT_TOL.convergence * max(1.0, frob(c))
+    bound = CONVERGENCE * max(1.0, frob(c))
     assert abs(result.value - _einsum_route_value(c, dims, budget, seed)) <= bound
 
 

@@ -18,7 +18,8 @@ from entanglecone.linalg import (
     min_eigenpair,
     partial_trace,
     partial_transpose,
-    projections_orthogonal,
+    psd_floor,
+    psd_verdicts,
     support_projection,
 )
 from entanglecone.rng import derive_stream, random_hermitian
@@ -242,6 +243,45 @@ def test_is_psd_verdicts_and_witness():
     assert value < -1e-9
 
 
+def _matrix_near_the_floor(rng, k, kind):
+    """A k x k Hermitian matrix of one of four kinds: 0 PSD, 1 generic,
+    2 and 3 least eigenvalue at 0.5x and at 2x its own psd_floor, with
+    the rest of the spectrum nonnegative. Norms span 1e-2 to 1e3."""
+    scale = 10.0 ** rng.uniform(-2, 3)
+    g = scale * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    if kind == 0:
+        return g @ g.conj().T
+    if kind == 1:
+        return hermitian_part(g)
+    rest = scale * rng.random(k - 1)
+    low = 0.0
+    for _ in range(4):  # low enters the norm its floor scales with; this settles
+        low = (0.5 if kind == 2 else 2.0) * psd_floor(np.diag(np.append(rest, low)))
+    q, _ = np.linalg.qr(g)
+    return hermitian_part((q * np.append(rest, low)) @ q.conj().T)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(count=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_psd_verdicts_match_is_psd_and_min_eigenpair(count, seed):
+    # The stacked verdicts are the per-matrix ones bit for bit: the
+    # verdict of is_psd, and the value and vector of min_eigenpair.
+    rng = np.random.default_rng(seed)
+    for k in (2, 3, 4, 9):
+        kinds = rng.integers(0, 4, count)
+        stack = np.stack([_matrix_near_the_floor(rng, k, kind) for kind in kinds])
+        ok, low, vec = psd_verdicts(stack)
+        assert ok.shape == low.shape == (count,) and vec.shape == (count, k)
+        for i, kind in enumerate(kinds):
+            verdict, witness = is_psd(stack[i])
+            value, vector = min_eigenpair(stack[i])
+            assert ok[i] == verdict
+            assert low[i] == value and np.array_equal(vec[i], vector)
+            assert witness is None if verdict else np.array_equal(witness, vector)
+            if kind in (0, 2, 3):
+                assert verdict == (kind != 3)
+
+
 def test_is_psd_relative_slack():
     # A large matrix with a tiny relative dip stays PSD under relative slack.
     x = np.diag([1e6, -1e-5]).astype(complex)
@@ -267,13 +307,6 @@ def test_support_projection_diagonalises_once(eigh_inputs):
     assert len(eigh_inputs) == 1
     with pytest.raises(DomainError):
         support_projection(np.diag([2.0, -1e-3, 1.0]).astype(complex))
-
-
-def test_projections_orthogonal():
-    p = np.diag([1.0, 0.0]).astype(complex)
-    q = np.diag([0.0, 1.0]).astype(complex)
-    assert projections_orthogonal(p, q)
-    assert not projections_orthogonal(p, p)
 
 
 def test_hermitian_helpers():

@@ -26,7 +26,6 @@ from entanglecone.duality import (
 )
 from entanglecone.errors import NumericalError
 from entanglecone.linalg import (
-    DEFAULT_TOL,
     hermitian_part,
     is_psd,
     kron,
@@ -709,9 +708,9 @@ def test_search_checks_only_the_polished_winner(monkeypatch):
     checked = []
     real = states.hermitian_eigen
 
-    def recording(x, tol):
+    def recording(x):
         checked.append(np.array(x))
-        return real(x, tol)
+        return real(x)
 
     monkeypatch.setattr(states, "hermitian_eigen", recording)
     witness = builtin_choi_map()
@@ -719,4 +718,4 @@ def test_search_checks_only_the_polished_winner(monkeypatch):
     (image,) = checked
     h = result.state.density
     assert np.array_equal(image, hermitian_part(apply_to_second(h, (3, 3), witness)))
-    assert result.violation == -real(image, DEFAULT_TOL)[0][-1]
+    assert result.violation == -real(image)[0][-1]
