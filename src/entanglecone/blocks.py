@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import (
+    MAX_CHOI_DIM,
     BipartiteState,
     HolevoForm,
     MatrixMap,
@@ -52,6 +53,11 @@ _CLUSTER_GAP = 1e-8
 _DIAG_SEED = 0xD1A6
 _SPLIT_SEED = 0x4B10C5
 
+# Cap on terms * (n*m)^2, the entries of the (terms, nm, nm) stack of
+# products that decomposition forms: 2^20 complex entries are 16 MB, and
+# decomposing k = n = m = 16 peaked at about 100 MB under tracemalloc.
+MAX_ENSEMBLE_ENTRIES = 2**20
+
 VERDICT_SEPARABLE = "separable"
 VERDICT_ENTANGLED = "entangled"
 
@@ -80,6 +86,12 @@ class SeparableEnsemble:
                 raise DimensionError("inconsistent factor dimensions in ensemble")
             total += weight
             checked.append((weight, a, b))
+        if n * m > MAX_CHOI_DIM or len(checked) * (n * m) ** 2 > MAX_ENSEMBLE_ENTRIES:
+            raise DimensionError(
+                f"ensemble of {len(checked)} terms on dims ({n}, {m}) exceeds the "
+                f"caps n*m <= {MAX_CHOI_DIM} and terms*(n*m)^2 <= "
+                f"{MAX_ENSEMBLE_ENTRIES}"
+            )
         self.terms = tuple(checked)
         # One spectrum per side. Of the terms failing these checks the
         # first reports, a before b and positivity before trace.

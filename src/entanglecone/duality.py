@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, EntangleConeError
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -64,20 +64,40 @@ class HolevoForm:
         if not self.terms:
             raise DomainError("a Holevo form needs at least one term")
         checked = []
+        shape_fault = None
         n = m = None
         for omega, b in self.terms:
-            omega = as_matrix(omega)
-            b = as_matrix(b)
+            try:
+                omega = as_matrix(omega)
+                b = as_matrix(b)
+            except EntangleConeError as exc:
+                shape_fault = exc
+                break
             n = n or omega.shape[0]
             m = m or b.shape[0]
             if omega.shape[0] != n or b.shape[0] != m:
-                raise DimensionError("inconsistent term dimensions in Holevo form")
-            for part, label in ((omega, "omega"), (b, "b")):
-                if not is_psd(part)[0]:
-                    raise DomainError(f"Holevo term {label} is not PSD")
-            if frob(b) == 0.0:
-                raise DomainError("Holevo term b must be nonzero")
+                shape_fault = DimensionError(
+                    "inconsistent term dimensions in Holevo form"
+                )
+                break
             checked.append((omega, b))
+        # One spectrum per side for the terms before the first shape fault.
+        # The first failing term reports: its shape, then omega, then b.
+        if checked:
+            omegas = np.stack([omega for omega, _ in checked])
+            bs = np.stack([b for _, b in checked])
+            zero = np.linalg.norm(bs, axis=(1, 2)) == 0.0
+            faults = [
+                (~psd_verdicts(omegas)[0], "Holevo term omega is not PSD"),
+                (~psd_verdicts(bs)[0], "Holevo term b is not PSD"),
+                (zero, "Holevo term b must be nonzero"),
+            ]
+            failing = np.stack([bad for bad, _ in faults], axis=1)
+            if failing.any():
+                _, check = np.argwhere(failing)[0]
+                raise DomainError(faults[check][1])
+        if shape_fault is not None:
+            raise shape_fault
         self.terms = tuple(checked)
 
     @property

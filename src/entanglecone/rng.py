@@ -87,31 +87,57 @@ def _mix_words(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> 31)
 
 
+def stream_words(seed: int, indices) -> np.ndarray:
+    """State words, as uint64, of derive_stream(seed, r) for r in indices.
+
+    These are the streams of the array draws below. A stream's state
+    after k draws is its word plus k gamma, so next_floats advances
+    each word by the number of draws it made, and a stream drawn from
+    twice continues where it stopped, as the scalar stream would.
+    """
+    # (index + 1) gamma wraps mod 2^64, as derive_stream masks it.
+    index = (np.asarray(indices, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
+    return _mix_words(np.uint64(seed & _MASK) ^ _mix_words(index))
+
+
+def next_floats(words: np.ndarray, count: int) -> np.ndarray:
+    """The next ``count`` next_float() draws of each stream, shaped
+    ``words.shape + (count,)``; advances ``words`` in place."""
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    draws = _mix_words(words[..., np.newaxis] + steps)
+    if count:
+        words += steps[-1]
+    return (draws >> 11).astype(np.float64) * 2.0**-53
+
+
+def gaussians(u: np.ndarray) -> np.ndarray:
+    """next_gaussian_pair on each consecutive pair (u1, u2) of uniform
+    draws along the last axis, in the scalar order of operations."""
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2]))
+    angle = 2.0 * np.pi * u[..., 1::2]
+    return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1).reshape(u.shape)
+
+
+def unit_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im with each row along the last axis scaled to unit norm,
+    as complex_unit_vector does. The norms stay 1-D np.linalg.norm
+    calls, since a norm along an axis sums in another order."""
+    v = re + 1j * im
+    for row in v.reshape(-1, v.shape[-1]):
+        row /= np.linalg.norm(row)
+    return v
+
+
 def complex_unit_vectors(seed: int, count: int, dim: int) -> np.ndarray:
     """Row r is derive_stream(seed, r).complex_unit_vector(dim), bit for bit.
 
     All rows come from one array evaluation of the same draws: each row
     takes two gaussian_vector(dim) calls, that is 4 ceil(dim / 2)
-    SplitMix64 outputs, mixed and Box-Muller transformed elementwise in
-    the scalar order of operations. The row norms stay 1-D
-    np.linalg.norm calls, since a norm along an axis sums in another
-    order.
+    SplitMix64 outputs, mixed and Box-Muller transformed elementwise.
     """
-    pairs = (dim + 1) // 2
-    index = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    child = _mix_words(np.uint64(seed & _MASK) ^ _mix_words(index))
-    steps = np.arange(1, 4 * pairs + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    draws = _mix_words(child[:, np.newaxis] + steps)
-    u = (draws >> 11).astype(np.float64) * 2.0**-53
-    # Each pair draws u1 then u2; the first `pairs` pairs fill re, the rest im.
-    r = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
-    angle = 2.0 * np.pi * u[:, 1::2]
-    gauss = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
-    gauss = gauss.reshape(count, 2, 2 * pairs)[:, :, :dim]
-    v = gauss[:, 0] + 1j * gauss[:, 1]
-    for row in v:
-        row /= np.linalg.norm(row)
-    return v
+    width = 2 * ((dim + 1) // 2)
+    g = gaussians(next_floats(stream_words(seed, range(count)), 2 * width))
+    return unit_rows(g[:, :dim], g[:, width:width + dim])
 
 
 def gaussian_complex_matrix(stream: SplitMix64, rows: int, cols: int) -> np.ndarray:

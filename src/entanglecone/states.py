@@ -35,11 +35,20 @@ from .linalg import (
     hermitian_eigen,
     hermitian_part,
     is_psd,
+    kron,
     partial_transpose,
     psd_verdicts,
     transpose_second,
 )
-from .rng import SplitMix64, derive_stream, gaussian_complex_matrix
+from .rng import (
+    SplitMix64,
+    derive_stream,
+    gaussian_complex_matrix,
+    gaussians,
+    next_floats,
+    stream_words,
+    unit_rows,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -300,7 +309,11 @@ def peres_equivalence(s: BipartiteState, tol: Tolerances = DEFAULT_TOL) -> bool:
 def random_product_mixture(
     stream: SplitMix64, n: int, m: int, terms: int
 ) -> np.ndarray:
-    """Random convex mixture of pure product states, trace one."""
+    """Random convex mixture of pure product states, trace one.
+
+    The scalar reference of random_product_mixtures, which the search
+    draws from.
+    """
     h = np.zeros((n * m, n * m), dtype=np.complex128)
     weights = []
     pieces = []
@@ -312,6 +325,41 @@ def random_product_mixture(
     total = sum(weights)
     for w, piece in zip(weights, pieces):
         h += (w / total) * piece
+    return h
+
+
+def random_product_mixtures(
+    words: np.ndarray, n: int, m: int, terms: int
+) -> np.ndarray:
+    """random_product_mixture on each stream of ``words`` (stream_words),
+    bit for bit, stacked as ``(len(words), nm, nm)``; advances the words
+    in place.
+
+    Every term draws its weight and then two complex unit vectors, that
+    is 1 + 4 ceil(n / 2) + 4 ceil(m / 2) floats, all taken as one array.
+    The weights are summed left to right and the weighted terms folded
+    from zero in term order, as the scalar loop does.
+    """
+    # gaussian_vector draws whole pairs: gx floats per real part of x.
+    gx, gy = 2 * ((n + 1) // 2), 2 * ((m + 1) // 2)
+    u = next_floats(words, terms * (1 + 2 * gx + 2 * gy))
+    u = u.reshape(len(words), terms, -1)
+    g = gaussians(u[..., 1:])
+    x = unit_rows(g[..., :n], g[..., gx:gx + n])
+    g = g[..., 2 * gx:]
+    y = unit_rows(g[..., :m], g[..., gy:gy + m])
+    xx = x[..., :, np.newaxis] * x.conj()[..., np.newaxis, :]
+    yy = y[..., :, np.newaxis] * y.conj()[..., np.newaxis, :]
+    weights = u[..., 0]
+    total = 0.0
+    for t in range(terms):
+        total = total + weights[:, t]
+    h = np.zeros((len(words), n * m, n * m), dtype=np.complex128)
+    for t in range(terms):
+        # One term at a time keeps one (restarts, nm, nm) product stack alive.
+        piece = kron(xx[:, t], yy[:, t])
+        scale = (weights[:, t] / total)[:, np.newaxis, np.newaxis]
+        h += np.multiply(scale, piece, out=piece)
     return h
 
 
@@ -366,7 +414,9 @@ def _dykstra(
 
     The stack advances in lockstep: each sweep makes one stacked eigh
     per cone over the matrices whose gap is still open, and a matrix
-    leaves the stack in the sweep that closes its gap. Every matrix
+    leaves the stack in the sweep that closes its gap; its projection,
+    final T(v) and sweep count are written out then, or at the cap,
+    and nowhere else. Every matrix
     keeps its own Anderson history in a ring of _DYKSTRA_MEMORY rows,
     zero where unused, and the combinations of the whole stack come
     from one batched solve of the regularised normal equations
@@ -413,76 +463,91 @@ def _dykstra(
     count = x0.shape[0]
     out = np.empty_like(x0)
     final_tv = np.empty_like(x0)
-    sweeps = np.zeros(count, dtype=np.int64)
+    sweeps = np.full(count, _DYKSTRA_ITERATIONS, dtype=np.int64)
     v = np.zeros_like(x0) if correction is None else correction.reshape(x0.shape)
     # Per matrix, differences of residuals and of T values over the last
     # sweeps, as real vectors: Anderson's combination has real
-    # coefficients, which keeps v Hermitian.
+    # coefficients, which keeps v Hermitian. The residual differences are
+    # also kept transposed, the Gram product's contiguous right operand.
     d_res = np.zeros((count, _DYKSTRA_MEMORY, 2 * shape[-1] ** 2))
+    d_res_t = np.zeros((count, 2 * shape[-1] ** 2, _DYKSTRA_MEMORY))
     d_tv = np.zeros_like(d_res)
+    eye = np.eye(_DYKSTRA_MEMORY)
     filled = np.zeros(count, dtype=np.int64)
     prev_gap = np.full(count, np.inf)
     prev_res = prev_tv = None
     live = np.arange(count)
-    for _ in range(_DYKSTRA_ITERATIONS):
+    for sweep in range(1, _DYKSTRA_ITERATIONS + 1):
         if live.size == 0:
             break
-        sweeps[live] += 1
         y = _proj_psd(x0 - v)
-        x_pt = _proj_pt_psd(v + y, dims)
-        tv = v + y - x_pt
-        out[live] = x_pt
-        final_tv[live] = tv
+        vy = v + y
+        x_pt = _proj_pt_psd(vy, dims)
+        tv = vy - x_pt
         res = (y - x_pt).reshape(live.size, -1).view(np.float64)
-        gap = np.linalg.norm(res, axis=1)
+        # The sums np.linalg.norm takes along these axes, bit for bit.
+        gap = np.sqrt(np.add.reduce(res * res, axis=1))
         closed = gap <= _DYKSTRA_GAP * np.maximum(
-            1.0, np.linalg.norm(x_pt, axis=(1, 2))
+            1.0, np.sqrt(np.add.reduce((x_pt.conj() * x_pt).real, axis=(1, 2)))
         )
+        if sweep == _DYKSTRA_ITERATIONS:
+            break
         if closed.any():
+            done = live[closed]
+            out[done], final_tv[done], sweeps[done] = x_pt[closed], tv[closed], sweep
             keep = ~closed
             live = live[keep]
             if live.size == 0:
                 break
             x0, tv, res, gap = x0[keep], tv[keep], res[keep], gap[keep]
-            d_res, d_tv, filled, prev_gap = (
-                d_res[keep], d_tv[keep], filled[keep], prev_gap[keep]
-            )
+            # The histories are copied one at a time, which bounds the peak.
+            d_res = d_res[keep]
+            d_res_t = d_res_t[keep]
+            d_tv = d_tv[keep]
+            filled, prev_gap = filled[keep], prev_gap[keep]
             if prev_res is not None:
                 prev_res, prev_tv = prev_res[keep], prev_tv[keep]
         tv_vec = tv.reshape(live.size, -1).view(np.float64)
-        grew = gap > prev_gap
-        filled[grew] = 0
-        d_res[grew] = 0.0
-        d_tv[grew] = 0.0
         if prev_res is not None:
-            rows = np.flatnonzero(~grew)
-            slot = filled[rows] % _DYKSTRA_MEMORY
-            d_res[rows, slot] = res[rows] - prev_res[rows]
-            d_tv[rows, slot] = tv_vec[rows] - prev_tv[rows]
-            filled[rows] += 1
-        # Same bits as with the strided view; a contiguous transpose is
-        # about 10% faster at (8, 16, 162) with OpenBLAS 0.3.31.
-        gram = d_res @ np.ascontiguousarray(d_res.swapaxes(1, 2))
+            rows = np.arange(live.size)
+            slot = filled % _DYKSTRA_MEMORY
+            diff = res - prev_res
+            d_res[rows, slot] = diff
+            d_res_t[rows, :, slot] = diff
+            d_tv[rows, slot] = tv_vec - prev_tv
+            filled += 1
+        # A matrix whose gap grew drops its whole history, the differences
+        # just stored included.
+        grew = gap > prev_gap
+        if grew.any():
+            filled[grew] = 0
+            d_res[grew] = 0.0
+            d_res_t[grew] = 0.0
+            d_tv[grew] = 0.0
+        gram = d_res @ d_res_t
         ridge = 1e-12 * np.trace(gram, axis1=1, axis2=2)
         # An empty history has G = 0 and A res = 0; any positive ridge
         # then gives gamma = 0.
         ridge[ridge == 0.0] = 1.0
         gamma = np.linalg.solve(
-            gram + ridge[:, np.newaxis, np.newaxis] * np.eye(_DYKSTRA_MEMORY),
+            gram + ridge[:, np.newaxis, np.newaxis] * eye,
             d_res @ res[:, :, np.newaxis],
         )
         v_vec = tv_vec - (gamma.swapaxes(1, 2) @ d_tv)[:, 0]
         v = v_vec.view(np.complex128).reshape(x0.shape)
         prev_res, prev_tv, prev_gap = res, tv_vec, gap
     if live.size:
-        logger.warning(
-            "Dykstra projection stopped at its cap of %d iterations in %d of "
-            "%d matrices, with gaps up to %.2e",
-            _DYKSTRA_ITERATIONS,
-            live.size,
-            count,
-            gap.max(),
-        )
+        # The loop stopped at the cap: these matrices keep its last sweep.
+        out[live], final_tv[live] = x_pt, tv
+        if not closed.all():
+            logger.warning(
+                "Dykstra projection stopped at its cap of %d iterations in %d of "
+                "%d matrices, with gaps up to %.2e",
+                _DYKSTRA_ITERATIONS,
+                np.count_nonzero(~closed),
+                count,
+                gap[~closed].max(),
+            )
     if correction is not None:
         correction[...] = final_tv.reshape(shape)
     return out.reshape(shape), sweeps.reshape(shape[:-2])
@@ -551,7 +616,7 @@ def search_ppt_entangled(
 
     started = time.perf_counter()
     restarts = budget.restarts
-    streams = [derive_stream(seed, r) for r in range(restarts)]
+    words = stream_words(seed, range(restarts))
     calls = matrix_sweeps = cap_hits = 0
 
     def project(x: np.ndarray, correction: np.ndarray | None = None) -> np.ndarray:
@@ -562,16 +627,16 @@ def search_ppt_entangled(
         cap_hits += int(np.count_nonzero(sweeps >= _DYKSTRA_ITERATIONS))
         return out
 
-    def fresh_starts(rs) -> np.ndarray:
-        mixed = np.stack(
-            [random_product_mixture(streams[r], n, m, _INIT_PRODUCT_TERMS) for r in rs]
-        )
+    def fresh_starts(rs: np.ndarray) -> np.ndarray:
+        drawn = words[rs]
+        mixed = random_product_mixtures(drawn, n, m, _INIT_PRODUCT_TERMS)
+        words[rs] = drawn
         h = (1.0 - _INIT_INTERIOR_WEIGHT) * mixed
         h += _INIT_INTERIOR_WEIGHT * np.eye(d) / d
         h = project(h)
         return h / np.real(np.trace(h, axis1=1, axis2=2))[:, np.newaxis, np.newaxis]
 
-    h = fresh_starts(range(restarts))
+    h = fresh_starts(np.arange(restarts))
     correction = np.zeros((restarts, d, d), dtype=np.complex128)
     viol, vec = _violation(h, dims, witness)
     best = viol.copy()

@@ -25,7 +25,7 @@ from entanglecone.duality import (
     identity_map,
     transpose_map,
 )
-from entanglecone.errors import DomainError, NumericalError
+from entanglecone.errors import DimensionError, DomainError, NumericalError
 from entanglecone.linalg import frob
 from entanglecone.rng import derive_stream, random_density, random_hermitian, random_unitary
 
@@ -72,6 +72,21 @@ def test_ensemble_reports_the_first_failing_term(faulty, message):
     terms = tuple((0.25, *faulty.get(i, (_E11_2, _E22_2))) for i in range(4))
     with pytest.raises(DomainError, match=message):
         SeparableEnsemble(terms)
+
+
+def test_ensemble_size_caps():
+    e11 = np.zeros((16, 16), dtype=complex)
+    e11[0, 0] = 1.0
+    # 16 terms on 16 x 16 fill the entry budget exactly; one more is over.
+    at_cap = ((1.0 / 16, e11, e11),) * 16
+    assert len(at_cap) * 256**2 == blocks.MAX_ENSEMBLE_ENTRIES
+    assert SeparableEnsemble(at_cap).dims == (16, 16)
+    with pytest.raises(DimensionError, match="exceeds the caps"):
+        SeparableEnsemble(((1.0 / 17, e11, e11),) * 17)
+    wide = np.zeros((17, 17), dtype=complex)
+    wide[0, 0] = 1.0
+    with pytest.raises(DimensionError, match="exceeds the caps"):
+        SeparableEnsemble(((1.0, e11, wide),))
 
 
 def test_ensemble_to_holevo_matches_state():

@@ -2,6 +2,7 @@ import json
 import logging
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,33 @@ def test_oversized_maps_exit_3(tmp_path, capsys):
     assert "n*m <= 256" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["decompose", "analyze-state"])
+def test_oversized_ensembles_exit_3_before_allocating(tmp_path, capsys, command):
+    # 17 terms on 16 x 16, one over the entry budget: without the cap the
+    # products alone would take 17 MB and decomposition about 100 MB.
+    e11 = np.zeros((16, 16), dtype=complex)
+    e11[0, 0] = 1.0
+    term = {"weight": 1.0 / 17, "a": matrix_to_json(e11), "b": matrix_to_json(e11)}
+    doc = {"dims": [16, 16], "repr": "ensemble", "terms": [term] * 17}
+    path = _write(tmp_path / "big.json", doc)
+    tracemalloc.start()
+    try:
+        code = main([command, path])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 8 * 2**20
+    assert "terms*(n*m)^2 <= 1048576" in capsys.readouterr().err
+    # One term, but n*m = 272 is above the map cap.
+    wide = np.zeros((17, 17), dtype=complex)
+    wide[0, 0] = 1.0
+    term = {"weight": 1.0, "a": matrix_to_json(e11), "b": matrix_to_json(wide)}
+    doc = {"dims": [16, 17], "repr": "ensemble", "terms": [term]}
+    assert main([command, _write(tmp_path / "wide.json", doc)]) == 3
+    assert "n*m <= 256" in capsys.readouterr().err
+
+
 def test_parse_errors(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["choi", missing]) == 2
@@ -295,6 +323,7 @@ def test_oversized_restart_budget_exits_before_any_work(monkeypatch, capsys):
     monkeypatch.setattr(entanglecone.cli, "builtin_map", _refuse)
     monkeypatch.setattr(entanglecone.classify, "derive_stream", _refuse)
     monkeypatch.setattr(entanglecone.states, "derive_stream", _refuse)
+    monkeypatch.setattr(entanglecone.states, "stream_words", _refuse)
     assert main(["classify-map", "builtin:choi3", "--budget-restarts", "5000"]) == 3
     assert main(["search-ppt-entangled", "choi3", "--budget-restarts", "5000"]) == 3
     err = capsys.readouterr().err

@@ -383,3 +383,31 @@ def test_holevo_form_validation():
         HolevoForm(((indefinite, np.eye(2, dtype=complex)),))
     with pytest.raises(DomainError):
         HolevoForm(())
+
+
+_EYE2 = np.eye(2, dtype=complex)
+_INDEFINITE = np.diag([1.0, -1.0]).astype(complex)
+_ZERO = np.zeros((2, 2), dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "terms, error, message",
+    [
+        # Two faulty terms: the first in term order reports.
+        (((_EYE2, _EYE2), (_EYE2, _INDEFINITE), (_INDEFINITE, _EYE2)),
+         DomainError, "term b is not PSD"),
+        (((_EYE2, _ZERO), (_INDEFINITE, _EYE2)), DomainError, "b must be nonzero"),
+        (((_EYE2, _INDEFINITE), (np.eye(3), _EYE2)), DomainError, "term b is not PSD"),
+        (((_EYE2, _INDEFINITE), (np.ones((2, 3)), _EYE2)),
+         DomainError, "term b is not PSD"),
+        (((_EYE2, _EYE2), (np.eye(3), _EYE2), (_INDEFINITE, _EYE2)),
+         DimensionError, "inconsistent term dimensions"),
+        # Within one term: omega, then b, then b nonzero.
+        (((_INDEFINITE, _INDEFINITE),), DomainError, "term omega is not PSD"),
+        (((_INDEFINITE, _ZERO),), DomainError, "term omega is not PSD"),
+        (((_EYE2, -_EYE2), (_EYE2, _ZERO)), DomainError, "term b is not PSD"),
+    ],
+)
+def test_holevo_form_reports_its_first_failing_term(terms, error, message):
+    with pytest.raises(error, match=message):
+        HolevoForm(terms)

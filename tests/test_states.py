@@ -2,7 +2,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entanglecone import states
@@ -32,13 +32,14 @@ from entanglecone.linalg import (
     min_eigenpair,
     partial_transpose,
 )
-from entanglecone.rng import derive_stream, random_density
+from entanglecone.rng import derive_stream, random_density, stream_words
 from entanglecone.states import (
     _dykstra,
     pairing_via_adjoint,
     peres_equivalence,
     ppt_check,
     random_product_mixture,
+    random_product_mixtures,
     random_pure_mixture,
     search_ppt_entangled,
     witness_battery,
@@ -420,12 +421,9 @@ def test_dykstra_stack_matches_each_slice_alone():
         assert alone_sweeps == sweeps[k]
         assert is_psd(out[k])[0]
         assert is_psd(partial_transpose(out[k], (3, 3), "second"))[0]
-        x0 = hermitian_part(x[k])
-        gap = states._DYKSTRA_GAP * max(1.0, np.linalg.norm(out[k]))
-        alone_gap = states._DYKSTRA_GAP * max(1.0, np.linalg.norm(alone))
-        bound = _certified_distance(x0, out[k], correction[k], gap)
-        alone_bound = _certified_distance(x0, alone, alone_correction, alone_gap)
-        assert np.linalg.norm(out[k] - alone) <= bound + alone_bound
+        # Bit for bit: each row's projection and final correction are its own.
+        assert np.array_equal(out[k], alone)
+        assert np.array_equal(correction[k], alone_correction)
 
 
 def test_dykstra_resets_only_the_history_whose_gap_grew(monkeypatch):
@@ -598,25 +596,14 @@ def test_lockstep_search_resets_plateaus_like_per_restart_runs(monkeypatch):
 
 
 def test_collapsed_candidate_redraws_from_its_own_stream(monkeypatch):
-    streams = {}
-    derive = states.derive_stream
-
-    def numbered(seed, r):
-        stream = derive(seed, r)
-        streams[id(stream)] = r
-        return stream
-
-    draws = []
-    mixture = states.random_product_mixture
-
-    def recording(stream, *args):
-        draws.append(streams[id(stream)])
-        return mixture(stream, *args)
-
     dykstra = states._dykstra
+    fresh = []
     planted = []
 
     def collapsing(x, dims, correction=None):
+        if correction is None:
+            # The fresh starts are the only projections without a correction.
+            fresh.append(x.copy())
         out, sweeps = dykstra(x, dims, correction)
         if correction is not None and not planted:
             # The first ascent projection holds every restart in order.
@@ -624,15 +611,44 @@ def test_collapsed_candidate_redraws_from_its_own_stream(monkeypatch):
             planted.append(True)
         return out, sweeps
 
-    monkeypatch.setattr(states, "derive_stream", numbered)
-    monkeypatch.setattr(states, "random_product_mixture", recording)
     monkeypatch.setattr(states, "_dykstra", collapsing)
     result = search_ppt_entangled(
         builtin_choi_map(), Budget(restarts=3, iterations=2), seed=4
     )
-    assert planted
-    assert draws == [0, 1, 2, 1]
+
+    def start(stream):
+        mixed = random_product_mixture(stream, 3, 3, states._INIT_PRODUCT_TERMS)
+        h = (1.0 - states._INIT_INTERIOR_WEIGHT) * mixed
+        h += states._INIT_INTERIOR_WEIGHT * np.eye(9) / 9
+        return h
+
+    streams = [derive_stream(4, r) for r in range(3)]
+    assert planted and len(fresh) == 2
+    assert np.array_equal(fresh[0], np.stack([start(s) for s in streams]))
+    # Restart 1 collapsed: its new start is the second draw of its stream.
+    assert np.array_equal(fresh[1], start(streams[1])[np.newaxis])
     assert result.iterations == 6
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 4),
+    m=st.integers(1, 4),
+    terms=st.integers(1, 4),
+    indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+)
+@example(seed=0, n=1, m=1, terms=1, indices=[0])
+@example(seed=2**64 - 1, n=4, m=3, terms=4, indices=[5, 2**64 - 1, 5])
+def test_stacked_product_mixtures_match_the_scalar_streams(seed, n, m, terms, indices):
+    # Bit for bit, for a first and a second draw from the same streams.
+    words = stream_words(seed, indices)
+    scalar = [derive_stream(seed, r) for r in indices]
+    for _ in range(2):
+        want = np.stack([random_product_mixture(s, n, m, terms) for s in scalar])
+        got = random_product_mixtures(words, n, m, terms)
+        assert got.shape == (len(indices), n * m, n * m)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_search_logs_one_debug_summary(caplog):
