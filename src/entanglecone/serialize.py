@@ -36,6 +36,13 @@ class _Entries(list):
     """
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer: an int, not a bool, a float or a string."""
+    if type(value) is not int:
+        raise ParseError(f"{field} must be an integer, not {value!r}")
+    return value
+
+
 def matrix_to_json(x: np.ndarray) -> dict:
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim == 1:
@@ -49,11 +56,11 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ParseError("matrix document must be an object")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = _json_int(obj["rows"], "rows")
+        cols = _json_int(obj["cols"], "cols")
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"matrix document missing or invalid field: {exc}") from exc
+    except KeyError as exc:
+        raise ParseError(f"matrix document missing field: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ParseError("matrix dimensions must be positive")
     if not isinstance(entries, list) or len(entries) != rows * cols:
@@ -118,11 +125,11 @@ def map_from_json(obj) -> MatrixMap:
     if not isinstance(obj, dict):
         raise ParseError("map document must be an object")
     try:
-        n = int(obj["dim_in"])
-        m = int(obj["dim_out"])
+        n = _json_int(obj["dim_in"], "dim_in")
+        m = _json_int(obj["dim_out"], "dim_out")
         repr_tag = obj["repr"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"map document missing or invalid field: {exc}") from exc
+    except KeyError as exc:
+        raise ParseError(f"map document missing field: {exc}") from exc
     if repr_tag == "choi":
         if "choi" not in obj:
             raise ParseError("choi repr requires a 'choi' matrix")
@@ -168,11 +175,10 @@ def state_document_from_json(obj) -> BipartiteState | SeparableEnsemble:
     """Parse a state file: a density envelope or an ensemble envelope."""
     if not isinstance(obj, dict):
         raise ParseError("state document must be an object")
-    try:
-        dims = obj["dims"]
-        n, m = int(dims[0]), int(dims[1])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ParseError("state document needs dims [n, m]") from exc
+    dims = obj.get("dims")
+    if not isinstance(dims, list) or len(dims) != 2:
+        raise ParseError("state document needs dims [n, m]")
+    n, m = _json_int(dims[0], "dims[0]"), _json_int(dims[1], "dims[1]")
     repr_tag = obj.get("repr", "density")
     if repr_tag == "density":
         if "density" not in obj:
@@ -376,3 +382,5 @@ def load_json_file(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"JSON in {path} is nested too deeply") from exc

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import logging
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from entanglecone.cli import main
 from entanglecone.duality import maximally_entangled_matrix
@@ -307,7 +313,15 @@ def test_search_debug_summary_leaves_stdout_unchanged(capsys, caplog):
     assert loud == quiet
     summaries = [r for r in caplog.records if r.levelno == logging.DEBUG]
     assert len(summaries) == 1
-    assert "2 restarts" in summaries[0].getMessage()
+    message = summaries[0].getMessage()
+    assert "2 restarts" in message
+    # The ascent projects loosely, so the winner takes an exact finish.
+    ascent, finish = summaries[0].args[4:6]
+    assert ascent > 0 and finish > 0
+    assert (
+        f"{ascent} matrix-sweeps in the start and ascent, {finish} in the finish"
+        in message
+    )
 
 
 def _refuse(*_args, **_kwargs):
@@ -344,3 +358,126 @@ def test_analyze_rejects_density_below_requested_slack(tmp_path, capsys):
     code, out = _run(capsys, ["analyze-state", path])
     assert code == 0
     assert json.loads(out)["entanglement"] == "inconclusive"
+
+
+def _fuzz_bases() -> dict:
+    """A valid document for each file argument of the commands that read one."""
+    e11 = np.diag([1.0, 0.0]).astype(complex)
+    kraus = {"dim_in": 2, "dim_out": 2, "repr": "kraus",
+             "kraus": [matrix_to_json(np.eye(2, dtype=complex))]}
+    choi = {"dim_in": 2, "dim_out": 2, "repr": "choi",
+            "choi": matrix_to_json(maximally_entangled_matrix(2))}
+    return {
+        "map": [kraus, choi],
+        "state": [_entangled_state_doc(), _two_block_ensemble_doc()],
+        "ensemble": [_two_block_ensemble_doc()],
+        "matrix": [matrix_to_json(e11)],
+    }
+
+
+_FUZZ_BASES = _fuzz_bases()
+# Each command with the kinds of its file arguments, in argv order.
+_FUZZ_COMMANDS = {
+    "choi": ["map"],
+    "classify-map": ["map"],
+    "analyze-state": ["state"],
+    "decompose": ["ensemble"],
+    "pair": ["map", "matrix", "matrix"],
+}
+_FUZZ_FLAGS = {"classify-map": ["--budget-restarts", "1", "--budget-iters", "1"]}
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, 1, 2, 3, -1]),
+    st.floats(),
+    st.text(max_size=3),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["dims", "rows", "repr", "x"]), inner, max_size=2),
+    max_leaves=5,
+)
+# Deeper than any recursion limit.
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@st.composite
+def _mutated_text(draw, doc) -> str:
+    """JSON text of ``doc`` with one node replaced, dropped or nested, or
+    a document too deep to parse. Python's json writes and reads the
+    non-standard constants NaN and Infinity."""
+    if draw(st.integers(0, 19)) == 0:
+        return _DEEP
+    doc = json.loads(json.dumps(doc))
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(list(keys)))
+        node = parent[key]
+    action = draw(st.sampled_from(["replace", "drop", "nest"]))
+    if parent is None:
+        doc = draw(_JSON_VALUES) if action == "replace" else [doc]
+    elif action == "drop":
+        del parent[key]
+    else:
+        parent[key] = draw(_JSON_VALUES) if action == "replace" else [node]
+    return json.dumps(doc)
+
+
+def _run_texts(command: str, texts: list[str]) -> tuple[int, str, str]:
+    """main on files holding ``texts``; returns (code, stdout, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, text in enumerate(texts):
+            path = Path(tmp) / f"doc{i}.json"
+            path.write_text(text, encoding="utf-8")
+            paths.append(str(path))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, *paths, *_FUZZ_FLAGS.get(command, [])])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(command=st.sampled_from(sorted(_FUZZ_COMMANDS)), data=st.data())
+def test_malformed_documents_exit_with_their_code(command, data):
+    # Every call returns 0, 2 or 3 without a traceback, and writes to
+    # stdout only on success.
+    kinds = _FUZZ_COMMANDS[command]
+    bases = [data.draw(st.sampled_from(_FUZZ_BASES[kind])) for kind in kinds]
+    texts = [json.dumps(doc) for doc in bases]
+    k = data.draw(st.integers(0, len(kinds) - 1))
+    texts[k] = data.draw(_mutated_text(bases[k]))
+    code, out, err = _run_texts(command, texts)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    assert code == 0 or out == ""
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("classify-map", '{"dim_in": Infinity, "dim_out": 2, "repr": "choi"}'),
+        ("analyze-state", '{"dims": [Infinity, 1], "repr": "density"}'),
+        (
+            "analyze-state",
+            '{"dims": [true, 1], "repr": "density", "density": '
+            + json.dumps(matrix_to_json(np.eye(1, dtype=complex))) + "}",
+        ),
+        ("choi", _DEEP),
+        ("analyze-state", _DEEP),
+    ],
+    ids=["dim-in-infinity", "dims-infinity", "dims-true", "deep-map", "deep-state"],
+)
+def test_documents_that_escaped_main_exit_2(command, text):
+    # These ended in a traceback and exit 1, or for `true`, exit 0.
+    code, out, err = _run_texts(command, [text])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ")

@@ -409,21 +409,43 @@ def _history_lengths(monkeypatch, x):
     return out, sweeps, lengths
 
 
-def test_dykstra_stack_matches_each_slice_alone():
-    x = _stack_to_project()
+def _assert_stack_matches_each_slice_alone(x, gaps):
     correction = np.zeros_like(x)
-    out, sweeps = _dykstra(x, (3, 3), correction)
+    out, sweeps = _dykstra(x, (3, 3), correction, None if gaps is None else np.array(gaps))
     assert out.shape == x.shape and sweeps.shape == (4,)
     assert len(set(sweeps.tolist())) == 4
     for k in range(4):
         alone_correction = np.zeros((9, 9), dtype=complex)
-        alone, alone_sweeps = _dykstra(x[k], (3, 3), alone_correction)
+        gap = None if gaps is None else gaps[k]
+        alone, alone_sweeps = _dykstra(x[k], (3, 3), alone_correction, gap)
         assert alone_sweeps == sweeps[k]
-        assert is_psd(out[k])[0]
-        assert is_psd(partial_transpose(out[k], (3, 3), "second"))[0]
+        if gap is None:
+            assert is_psd(out[k])[0]
+            assert is_psd(partial_transpose(out[k], (3, 3), "second"))[0]
         # Bit for bit: each row's projection and final correction are its own.
         assert np.array_equal(out[k], alone)
         assert np.array_equal(correction[k], alone_correction)
+
+
+def test_dykstra_stack_matches_each_slice_alone():
+    x = _stack_to_project()
+    _assert_stack_matches_each_slice_alone(x, None)
+    # Mixed exit gaps: each slice alone at its own gap.
+    _assert_stack_matches_each_slice_alone(x, [1e-9, 1e-4, 1e-5, 1e-6])
+
+
+def test_dykstra_loose_gap_keeps_its_certificate():
+    # A loose exit keeps PT(x_pt) PSD exactly and lambda_min(x_pt) >= -r.
+    x = _stack_to_project()
+    gap = 1e-4
+    exact_out, exact_sweeps = _dykstra(x, (3, 3))
+    out, sweeps = _dykstra(x, (3, 3), gap=gap)
+    assert (sweeps < exact_sweeps).all()
+    for k in range(4):
+        scale = max(1.0, np.linalg.norm(out[k]))
+        pt = partial_transpose(out[k], (3, 3), "second")
+        assert np.linalg.eigvalsh(hermitian_part(pt))[0] >= -1e-12 * scale
+        assert np.linalg.eigvalsh(hermitian_part(out[k]))[0] >= -gap * scale
 
 
 def test_dykstra_resets_only_the_history_whose_gap_grew(monkeypatch):
@@ -489,7 +511,10 @@ def _per_restart_search(witness, budget, seed):
 
     Returns (violation, restart, h, converged, steps, resets) per
     restart, h before the winner's feasibility polish and resets the
-    number of times progress cleared a nonzero plateau count.
+    number of times progress cleared a nonzero plateau count. Each
+    candidate is projected to the gap its step allows, and the violation
+    is that of the loosely projected state; h is the exact projection of
+    the candidate that state came from, the search's finish.
     """
     n = witness.dim_in
     dims = (n, n)
@@ -513,6 +538,7 @@ def _per_restart_search(witness, budget, seed):
         correction = np.zeros((n * n, n * n), dtype=complex)
         viol, vec = violation(h)
         best, plateau, converged, steps, resets = viol, 0, False, 0, 0
+        last_move, source = np.inf, None
         for _ in range(budget.iterations):
             steps += 1
             grad = -hermitian_part(
@@ -520,14 +546,21 @@ def _per_restart_search(witness, budget, seed):
             )
             step = states._ASCENT_STEP
             for _ in range(states._MAX_HALVINGS):
-                cand, _ = _dykstra(h + step * grad, dims, correction)
+                x = h + step * grad
+                delta = min(last_move, step * states._frob_each(grad))
+                gap = max(states._DYKSTRA_GAP, states._ASCENT_GAP_RATIO * delta)
+                cand, _ = _dykstra(x, dims, correction, gap)
                 trace = np.real(np.trace(cand))
-                if trace < 1e-12:
+                collapsed = trace < 1e-12
+                if collapsed:
                     cand, trace = fresh_start(stream), 1.0
                 cand = cand / trace
                 cand_viol, cand_vec = violation(cand)
                 if cand_viol > viol:
+                    last_move = states._frob_each(cand - h)
                     h, viol, vec = cand, cand_viol, cand_vec
+                    loose = gap > states._DYKSTRA_GAP and not collapsed
+                    source = x if loose else None
                     break
                 step /= 2.0
             else:
@@ -543,6 +576,9 @@ def _per_restart_search(witness, budget, seed):
                 resets += plateau > 0
                 plateau = 0
             best = max(best, viol)
+        if source is not None:
+            h, _ = _dykstra(source, dims, correction)
+            h = h / np.real(np.trace(h))
         runs.append((viol, r, h, converged, steps, resets))
     return runs
 
@@ -583,15 +619,16 @@ def test_lockstep_search_matches_per_restart_runs(monkeypatch):
 
 
 def test_lockstep_search_resets_plateaus_like_per_restart_runs(monkeypatch):
-    # With a lower bar than above, restart 3 makes progress after a flat
-    # step and clears its plateau count. Had it kept the count, it would
-    # have stopped at step 57 instead of running all 60.
-    monkeypatch.setattr(states, "_PLATEAU_EXIT", 5)
-    monkeypatch.setattr(states, "_PLATEAU_RELATIVE", 1e-2)
+    # Restart 3 makes progress after eight flat steps and clears its
+    # plateau count. Had it kept the count, it would have stopped at
+    # step 51 instead of 59.
+    monkeypatch.setattr(states, "_PLATEAU_EXIT", 10)
+    monkeypatch.setattr(states, "_PLATEAU_RELATIVE", 2e-2)
     witness = builtin_choi_map()
     budget = Budget(restarts=4, iterations=60)
     runs = _per_restart_search(witness, budget, seed=0)
-    assert sum(run[5] for run in runs) > 0
+    assert [run[5] for run in runs] == [0, 0, 0, 1]
+    assert runs[3][4] == 59
     _assert_lockstep_matches(monkeypatch, witness, budget, runs)
 
 
@@ -600,11 +637,11 @@ def test_collapsed_candidate_redraws_from_its_own_stream(monkeypatch):
     fresh = []
     planted = []
 
-    def collapsing(x, dims, correction=None):
+    def collapsing(x, dims, correction=None, gap=None):
         if correction is None:
             # The fresh starts are the only projections without a correction.
             fresh.append(x.copy())
-        out, sweeps = dykstra(x, dims, correction)
+        out, sweeps = dykstra(x, dims, correction, gap)
         if correction is not None and not planted:
             # The first ascent projection holds every restart in order.
             out[1] = 0.0
@@ -628,6 +665,39 @@ def test_collapsed_candidate_redraws_from_its_own_stream(monkeypatch):
     # Restart 1 collapsed: its new start is the second draw of its stream.
     assert np.array_equal(fresh[1], start(streams[1])[np.newaxis])
     assert result.iterations == 6
+
+
+def test_search_projects_the_winner_exactly_once(monkeypatch):
+    # The ascent projects loosely; the polished state is the exact
+    # projection of the winner's stored candidate, normalised.
+    dykstra = states._dykstra
+    calls = []
+    polished = []
+    polish = states._polish_feasibility
+
+    def recording(x, dims, correction=None, gap=None):
+        start = None if correction is None else correction.copy()
+        calls.append((x.copy(), start, gap))
+        return dykstra(x, dims, correction, gap)
+
+    def recording_polish(h, dims):
+        polished.append(h)
+        return polish(h, dims)
+
+    monkeypatch.setattr(states, "_dykstra", recording)
+    monkeypatch.setattr(states, "_polish_feasibility", recording_polish)
+    search_ppt_entangled(builtin_choi_map(), Budget(restarts=2, iterations=3), seed=1)
+    *ascent, (source, start, gap) = calls
+    assert gap is None and source.shape == (9, 9)
+    # The candidate was projected loosely in the ascent.
+    assert any(
+        (np.asarray(g) > states._DYKSTRA_GAP)[(x == source).all(axis=(1, 2))].any()
+        for x, _, g in ascent
+        if g is not None
+    )
+    exact, _ = dykstra(source, (3, 3), start.copy())
+    (winner,) = polished
+    assert np.array_equal(winner, exact / np.real(np.trace(exact)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -658,13 +728,18 @@ def test_search_logs_one_debug_summary(caplog):
             builtin_choi_map(), budget, seed=1, witness_name="choi3"
         )
     (summary,) = [r for r in caplog.records if r.levelno == logging.DEBUG]
-    restarts, steps, calls, sweeps, caps = [int(v) for v in summary.args[1:6]]
+    restarts, steps, calls, sweeps, finish, caps = [
+        int(v) for v in summary.args[1:7]
+    ]
     assert summary.getMessage().startswith("search choi3: 2 restarts")
     assert (restarts, steps, caps) == (2, result.iterations, 0)
-    # One call for the starts, then at least one per lockstep ascent step.
-    assert calls >= 1 + -(-steps // restarts)
-    assert sweeps >= calls
-    assert all(t >= 0.0 for t in summary.args[6:])
+    # One call for the starts, then at least one per lockstep ascent step,
+    # and one for the finish when the winner was projected loosely.
+    assert calls >= 1 + -(-steps // restarts) + (finish > 0)
+    assert sweeps >= calls - (finish > 0)
+    # Four phases: start, ascent, finish and polish.
+    assert len(summary.args[7:]) == 4
+    assert all(t >= 0.0 for t in summary.args[7:])
 
 
 def test_search_reports_witness_hit_in_battery():
