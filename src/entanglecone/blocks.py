@@ -40,7 +40,7 @@ from .linalg import (
     psd_verdicts,
     support_projection,
 )
-from .rng import derive_stream, random_hermitian
+from .rng import gaussian_vectors, random_hermitian, stream_words
 
 logger = logging.getLogger(__name__)
 
@@ -76,6 +76,8 @@ class SeparableEnsemble:
         total = 0.0
         for weight, a, b in self.terms:
             weight = float(weight)
+            if not np.isfinite(weight):
+                raise DomainError("ensemble weights must be finite")
             if weight <= 0.0:
                 raise DomainError("ensemble weights must be positive")
             a = as_matrix(a)
@@ -217,9 +219,9 @@ def split_by_projection(
     if frob(pe @ pf) > check_tol * max(1.0, frob(pe) * frob(pf)):
         return False
 
-    stream = derive_stream(_SPLIT_SEED ^ seed, 0)
+    words = stream_words(_SPLIT_SEED ^ seed, [0])
     for _ in range(samples):
-        x = random_hermitian(stream, f.dim_in)
+        x = random_hermitian(words, f.dim_in)[0]
         fx = apply_map(f, x)
         split_inputs = apply_map(f, e @ x @ e) + apply_map(f, fc @ x @ fc)
         split_outputs = pe @ fx @ pe + pf @ fx @ pf
@@ -371,8 +373,8 @@ def _refine_clusters(
         if scalar:
             out.append(block)
             continue
-        stream = derive_stream(_DIAG_SEED, rng_index + depth)
-        coeffs = stream.gaussian_vector(len(compressions))
+        words = stream_words(_DIAG_SEED, [rng_index + depth])
+        coeffs = gaussian_vectors(words, len(compressions))[0]
         combo = hermitian_part(
             sum(c * comp for c, comp in zip(coeffs, compressions))
         )
@@ -422,8 +424,7 @@ def abelian_range_decompose(
             if norm > CONVERGENCE * max(1.0, frob(images[k]) * frob(images[l])):
                 return NotAbelian((k, l), norm)
 
-    stream = derive_stream(_DIAG_SEED, 0)
-    coeffs = stream.gaussian_vector(len(images))
+    coeffs = gaussian_vectors(stream_words(_DIAG_SEED, [0]), len(images))[0]
     combo = hermitian_part(sum(c * g for c, g in zip(coeffs, images)))
     w, v = hermitian_eigen(combo)
     blocks = [v[:, idx] for idx in _cluster_indices(w)]
@@ -440,9 +441,9 @@ def abelian_range_decompose(
         terms.append((sigma, p))
     form = HolevoForm(tuple(terms))
 
-    check_stream = derive_stream(_DIAG_SEED, 999)
+    check_words = stream_words(_DIAG_SEED, [999])
     for _ in range(5):
-        x = random_hermitian(check_stream, n)
+        x = random_hermitian(check_words, n)[0]
         fx = apply_map(f, x)
         rebuilt = np.zeros((m, m), dtype=np.complex128)
         for sigma, p in form.terms:

@@ -41,7 +41,7 @@ from .linalg import (
     partial_transpose,
     psd_floor,
 )
-from .rng import complex_unit_vectors, derive_stream, random_unitary
+from .rng import complex_unit_vectors, random_unitary, stream_words
 
 logger = logging.getLogger(__name__)
 
@@ -346,9 +346,9 @@ def default_witness_library(m: int) -> WitnessLibrary:
         entries.append(("choi3-tconj", map_transpose_conjugate(base)))
         entries.append(("choi3-post-t", compose(transpose_map(3), base)))
         for k in (1, 2):
-            stream = derive_stream(_LIBRARY_SEED, k)
-            a = random_unitary(stream, 3)
-            b = random_unitary(stream, 3)
+            words = stream_words(_LIBRARY_SEED, [k])
+            a = random_unitary(words, 3)[0]
+            b = random_unitary(words, 3)[0]
             twisted = compose(kraus_to_map([a]), compose(base, kraus_to_map([b])))
             entries.append((f"choi3-twist{k}", twisted))
     return WitnessLibrary(entries=tuple(entries))
@@ -368,11 +368,3 @@ def builtin_map(name: str) -> MatrixMap:
     if match.group(1) == "identity":
         return identity_map(n)
     return transpose_map(n)
-
-
-def verify_block_value(
-    f: MatrixMap, x: np.ndarray, y: np.ndarray
-) -> float:
-    """Re-evaluate <x (x) y, C (x (x) y)> for certificate checking."""
-    prod = np.kron(x, y)
-    return float(np.real(prod.conj() @ f.choi @ prod))

@@ -181,11 +181,6 @@ def hermitian_eigen(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def min_eigenpair(x: np.ndarray) -> tuple[float, np.ndarray]:
-    w, v = hermitian_eigen(x)
-    return float(w[-1]), v[:, -1]
-
-
 def psd_floor(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float | np.ndarray:
     """-psd_slack * max(1, ||x||_F), per matrix for a stack: the least
     eigenvalue that still counts as positive semidefinite."""

@@ -43,6 +43,16 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+def _json_float(value, field: str) -> float:
+    """A JSON number as a float: an int or a float, not a bool or a string."""
+    if type(value) not in (int, float):
+        raise ParseError(f"{field} must be a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ParseError(f"{field} is too large for a float") from exc
+
+
 def matrix_to_json(x: np.ndarray) -> dict:
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim == 1:
@@ -84,7 +94,7 @@ def matrix_from_json(obj) -> np.ndarray:
             raise ParseError("matrix entries must be [re, im] pairs")
         try:
             out[k // cols, k % cols] = float(pair[0]) + 1j * float(pair[1])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError("matrix entries must be numeric") from exc
     return out
 
@@ -159,18 +169,6 @@ def state_to_json(s: BipartiteState) -> dict:
     }
 
 
-def ensemble_to_json(ens: SeparableEnsemble) -> dict:
-    n, m = ens.dims
-    return {
-        "dims": [n, m],
-        "repr": "ensemble",
-        "terms": [
-            {"weight": w, "a": matrix_to_json(a), "b": matrix_to_json(b)}
-            for w, a, b in ens.terms
-        ],
-    }
-
-
 def state_document_from_json(obj) -> BipartiteState | SeparableEnsemble:
     """Parse a state file: a density envelope or an ensemble envelope."""
     if not isinstance(obj, dict):
@@ -193,10 +191,10 @@ def state_document_from_json(obj) -> BipartiteState | SeparableEnsemble:
             if not isinstance(term, dict):
                 raise ParseError("ensemble terms must be objects")
             try:
-                weight = float(term["weight"])
+                weight = _json_float(term["weight"], "weight")
                 a = matrix_from_json(term["a"])
                 b = matrix_from_json(term["b"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except KeyError as exc:
                 raise ParseError(
                     "ensemble terms need 'weight', 'a' and 'b'"
                 ) from exc
@@ -380,7 +378,7 @@ def load_json_file(path: str):
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"JSON in {path} is nested too deeply") from exc

@@ -23,7 +23,6 @@ from .duality import (
     kraus_to_map,
     map_adjoint,
     map_from_state,
-    maximally_entangled_matrix,
     post_transpose,
 )
 from .errors import DimensionError, DomainError, NumericalError
@@ -41,8 +40,6 @@ from .linalg import (
     transpose_second,
 )
 from .rng import (
-    SplitMix64,
-    derive_stream,
     gaussian_complex_matrix,
     gaussians,
     next_floats,
@@ -110,12 +107,13 @@ def _copositive_dual(s: BipartiteState, tol: Tolerances) -> bool:
 def _crosscheck_maps(m: int) -> np.ndarray:
     """Choi tensors of random copositive maps on M_m, fixed by
     _PPT_CROSSCHECK_SEED, stacked as (samples, m, m, m, m) and read-only."""
-    tensors = []
-    for k in range(_PPT_CROSSCHECK_SAMPLES):
-        stream = derive_stream(_PPT_CROSSCHECK_SEED, k)
-        ops = [gaussian_complex_matrix(stream, m, m) for _ in range(2)]
-        tensors.append(post_transpose(kraus_to_map(ops)).choi4())
-    stacked = np.stack(tensors)
+    # Each map's two Kraus operators come from its own stream, in turn.
+    words = stream_words(_PPT_CROSSCHECK_SEED, range(_PPT_CROSSCHECK_SAMPLES))
+    first = gaussian_complex_matrix(words, m, m)
+    second = gaussian_complex_matrix(words, m, m)
+    stacked = np.stack(
+        [post_transpose(kraus_to_map([a, b])).choi4() for a, b in zip(first, second)]
+    )
     stacked.flags.writeable = False
     return stacked
 
@@ -293,13 +291,6 @@ def witness_pairing(s: BipartiteState, f: MatrixMap) -> float:
     return float(np.real(np.trace(s.density @ f.choi)))
 
 
-def pairing_via_adjoint(s: BipartiteState, f: MatrixMap) -> float:
-    """Same pairing computed as Tr((id (x) phi*)(h) P); cross-check route."""
-    n = s.dims[0]
-    moved = apply_to_second(s.density, s.dims, map_adjoint(f))
-    return float(np.real(np.trace(moved @ maximally_entangled_matrix(n))))
-
-
 def peres_equivalence(s: BipartiteState, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Agreement of the state-side and map-side positivity tests.
 
@@ -312,41 +303,19 @@ def peres_equivalence(s: BipartiteState, tol: Tolerances = DEFAULT_TOL) -> bool:
     return ok == (cp_dual and _copositive_dual(s, tol))
 
 
-def random_product_mixture(
-    stream: SplitMix64, n: int, m: int, terms: int
-) -> np.ndarray:
-    """Random convex mixture of pure product states, trace one.
-
-    The scalar reference of random_product_mixtures, which the search
-    draws from.
-    """
-    h = np.zeros((n * m, n * m), dtype=np.complex128)
-    weights = []
-    pieces = []
-    for _ in range(terms):
-        weights.append(stream.next_float())
-        x = stream.complex_unit_vector(n)
-        y = stream.complex_unit_vector(m)
-        pieces.append(np.kron(np.outer(x, x.conj()), np.outer(y, y.conj())))
-    total = sum(weights)
-    for w, piece in zip(weights, pieces):
-        h += (w / total) * piece
-    return h
-
-
 def random_product_mixtures(
     words: np.ndarray, n: int, m: int, terms: int
 ) -> np.ndarray:
-    """random_product_mixture on each stream of ``words`` (stream_words),
-    bit for bit, stacked as ``(len(words), nm, nm)``; advances the words
-    in place.
+    """Random convex mixtures of ``terms`` pure product states, trace
+    one, one per stream of ``words``, stacked as ``(len(words), nm, nm)``;
+    advances the words in place.
 
-    Every term draws its weight and then two complex unit vectors, that
-    is 1 + 4 ceil(n / 2) + 4 ceil(m / 2) floats, all taken as one array.
-    The weights are summed left to right and the weighted terms folded
-    from zero in term order, as the scalar loop does.
+    Every term draws its weight and then two complex unit vectors, each
+    as complex_unit_vectors draws one, that is 1 + 4 ceil(n / 2) +
+    4 ceil(m / 2) floats, all taken as one array. The weights are summed
+    left to right and the weighted terms folded from zero in term order.
     """
-    # gaussian_vector draws whole pairs: gx floats per real part of x.
+    # Normals come in pairs: gx floats per real part of x.
     gx, gy = 2 * ((n + 1) // 2), 2 * ((m + 1) // 2)
     u = next_floats(words, terms * (1 + 2 * gx + 2 * gy))
     u = u.reshape(len(words), terms, -1)
@@ -366,17 +335,6 @@ def random_product_mixtures(
         piece = kron(xx[:, t], yy[:, t])
         scale = (weights[:, t] / total)[:, np.newaxis, np.newaxis]
         h += np.multiply(scale, piece, out=piece)
-    return h
-
-
-def random_pure_mixture(stream: SplitMix64, d: int, terms: int) -> np.ndarray:
-    """Random mixture of (generally entangled) pure states, trace one."""
-    h = np.zeros((d, d), dtype=np.complex128)
-    weights = [stream.next_float() for _ in range(terms)]
-    total = sum(weights)
-    for w in weights:
-        v = stream.complex_unit_vector(d)
-        h += (w / total) * np.outer(v, v.conj())
     return h
 
 

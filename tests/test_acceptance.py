@@ -40,23 +40,23 @@ from entanglecone.linalg import (
     hermitian_eigen,
     hermitian_part,
     kron,
-    min_eigenpair,
     partial_trace,
     partial_transpose,
-)
-from entanglecone.rng import (
-    derive_stream,
-    gaussian_complex_matrix,
-    random_density,
-    random_hermitian,
 )
 from entanglecone.states import (
     SEARCH_BUDGET,
     peres_equivalence,
     ppt_check,
-    random_pure_mixture,
     search_ppt_entangled,
     witness_battery,
+)
+from reference import (
+    derive_stream,
+    gaussian_complex_matrix,
+    min_eigenpair,
+    random_density,
+    random_hermitian,
+    random_pure_mixture,
 )
 
 

@@ -27,7 +27,7 @@ from entanglecone.duality import (
 )
 from entanglecone.errors import DimensionError, DomainError, NumericalError
 from entanglecone.linalg import frob
-from entanglecone.rng import derive_stream, random_density, random_hermitian, random_unitary
+from reference import derive_stream, random_density, random_hermitian, random_unitary
 
 _E11_2 = np.diag([1.0, 0.0]).astype(complex)
 _E22_2 = np.diag([0.0, 1.0]).astype(complex)
@@ -46,6 +46,9 @@ def test_ensemble_validation():
         SeparableEnsemble(((0.5, _E11_2, _E11_2),))  # weights must sum to one
     with pytest.raises(DomainError):
         SeparableEnsemble(((1.0, 2.0 * _E11_2, _E11_2),))  # trace one required
+    for weight in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="weights must be finite"):
+            SeparableEnsemble(((weight, _E11_2, _E11_2), (0.5, _E22_2, _E22_2)))
     ens = _two_block_ensemble()
     assert ens.dims == (2, 2)
     s = ens.to_state()
@@ -430,6 +433,20 @@ def test_abelian_decompose_coarse_block_range():
     projections = sorted(np.trace(p).real for _, p in form.terms)
     assert abs(projections[0] - 1.0) < 1e-9
     assert abs(projections[1] - 2.0) < 1e-9
+
+
+def test_refine_clusters_splits_a_degenerate_cluster():
+    # Neither image is a scalar on the whole space, so the cluster is
+    # split along a random combination, diag(c1, c1 + c2, c2) in u's basis.
+    u = random_unitary(derive_stream(509, 0), 3)
+    images = [u @ np.diag(d) @ u.conj().T for d in ([1.0, 1.0, 0.0], [0.0, 1.0, 1.0])]
+    out = blocks._refine_clusters([np.eye(3, dtype=complex)], images, 1, 0)
+    assert [b.shape for b in out] == [(3, 1)] * 3
+    basis = np.hstack(out)
+    assert frob(basis.conj().T @ basis - np.eye(3)) < 1e-10
+    for g in images:
+        compressed = basis.conj().T @ g @ basis
+        assert frob(compressed - np.diag(np.diag(compressed))) < 1e-10
 
 
 def test_conditional_expectation_separable_with_certificate():

@@ -17,7 +17,6 @@ from entanglecone.classify import (
     default_witness_library,
     is_copositive,
     is_cp,
-    verify_block_value,
 )
 from entanglecone.duality import (
     HolevoForm,
@@ -37,14 +36,14 @@ from entanglecone.linalg import (
     frob,
     hermitian_part,
     kron,
-    min_eigenpair,
     partial_transpose,
 )
-from entanglecone.rng import (
+from reference import (
     derive_stream,
     gaussian_complex_matrix,
     random_density,
     random_hermitian,
+    verify_block_value,
 )
 
 _FAST = Budget(restarts=8, iterations=100)

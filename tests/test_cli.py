@@ -18,7 +18,6 @@ from entanglecone.duality import maximally_entangled_matrix
 from entanglecone.linalg import frob
 from entanglecone.serialize import (
     dumps,
-    ensemble_to_json,
     map_from_json,
     matrix_from_json,
     matrix_to_json,
@@ -27,6 +26,7 @@ from entanglecone.serialize import (
 )
 from entanglecone.blocks import SeparableEnsemble
 from entanglecone.duality import BipartiteState
+from reference import ensemble_to_json
 
 _REDUCED = ["--budget-restarts", "2", "--budget-iters", "30"]
 
@@ -331,13 +331,14 @@ def _refuse(*_args, **_kwargs):
 def test_oversized_restart_budget_exits_before_any_work(monkeypatch, capsys):
     import entanglecone.classify
     import entanglecone.cli
+    import entanglecone.rng
     import entanglecone.states
 
     # Resolving builtin:choi3 runs the minimizer, so it must come later too.
+    # Every draw starts from stream_words.
     monkeypatch.setattr(entanglecone.cli, "builtin_map", _refuse)
-    monkeypatch.setattr(entanglecone.classify, "derive_stream", _refuse)
-    monkeypatch.setattr(entanglecone.states, "derive_stream", _refuse)
-    monkeypatch.setattr(entanglecone.states, "stream_words", _refuse)
+    for module in (entanglecone.classify, entanglecone.rng, entanglecone.states):
+        monkeypatch.setattr(module, "stream_words", _refuse)
     assert main(["classify-map", "builtin:choi3", "--budget-restarts", "5000"]) == 3
     assert main(["search-ppt-entangled", "choi3", "--budget-restarts", "5000"]) == 3
     err = capsys.readouterr().err
@@ -461,23 +462,65 @@ def test_malformed_documents_exit_with_their_code(command, data):
     assert code == 0 or out == ""
 
 
+def _with_huge(doc: dict, path: list) -> str:
+    """JSON text of ``doc`` with the node at ``path`` set to a 401-digit
+    integer, which no float holds."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 10**400
+    return json.dumps(doc)
+
+
+def _ensemble_with_weight(weight) -> str:
+    doc = _two_block_ensemble_doc()
+    doc["terms"][0]["weight"] = weight
+    return json.dumps(doc)
+
+
+_MATRIX_TEXT = json.dumps(_fuzz_bases()["matrix"][0])
+
+
 @pytest.mark.parametrize(
-    "command, text",
+    "command, texts",
     [
-        ("classify-map", '{"dim_in": Infinity, "dim_out": 2, "repr": "choi"}'),
-        ("analyze-state", '{"dims": [Infinity, 1], "repr": "density"}'),
+        ("classify-map", ['{"dim_in": Infinity, "dim_out": 2, "repr": "choi"}']),
+        ("analyze-state", ['{"dims": [Infinity, 1], "repr": "density"}']),
         (
             "analyze-state",
-            '{"dims": [true, 1], "repr": "density", "density": '
-            + json.dumps(matrix_to_json(np.eye(1, dtype=complex))) + "}",
+            ['{"dims": [true, 1], "repr": "density", "density": '
+             + json.dumps(matrix_to_json(np.eye(1, dtype=complex))) + "}"],
         ),
-        ("choi", _DEEP),
-        ("analyze-state", _DEEP),
+        ("choi", [_DEEP]),
+        ("analyze-state", [_DEEP]),
+        (
+            "analyze-state",
+            [_with_huge(_entangled_state_doc(), ["density", "entries", 0, 0])],
+        ),
+        (
+            "pair",
+            [json.dumps(_fuzz_bases()["map"][0]),
+             _with_huge(_fuzz_bases()["matrix"][0], ["entries", 0, 1]),
+             _MATRIX_TEXT],
+        ),
+        (
+            "decompose",
+            [_with_huge(_two_block_ensemble_doc(), ["terms", 1, "weight"])],
+        ),
+        ("analyze-state", ['{"dims": [' + "9" * 5000 + ", 1]}"]),
+        ("decompose", [_ensemble_with_weight("0.5")]),
+        ("analyze-state", [_ensemble_with_weight(True)]),
     ],
-    ids=["dim-in-infinity", "dims-infinity", "dims-true", "deep-map", "deep-state"],
+    ids=[
+        "dim-in-infinity", "dims-infinity", "dims-true", "deep-map", "deep-state",
+        "density-huge-int", "pair-huge-int", "weight-huge-int", "int-too-long",
+        "weight-string", "weight-true",
+    ],
 )
-def test_documents_that_escaped_main_exit_2(command, text):
-    # These ended in a traceback and exit 1, or for `true`, exit 0.
-    code, out, err = _run_texts(command, [text])
+def test_documents_that_escaped_main_exit_2(command, texts):
+    # These ended in a traceback and exit 1, or for `true` and the
+    # string weight, in exit 0 or 3.
+    code, out, err = _run_texts(command, texts)
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ")

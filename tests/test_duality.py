@@ -36,7 +36,7 @@ from entanglecone.linalg import (
     partial_trace,
     partial_transpose,
 )
-from entanglecone.rng import (
+from reference import (
     derive_stream,
     gaussian_complex_matrix,
     random_density,

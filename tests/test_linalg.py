@@ -15,14 +15,13 @@ from entanglecone.linalg import (
     hermitian_part,
     is_psd,
     kron,
-    min_eigenpair,
     partial_trace,
     partial_transpose,
     psd_floor,
     psd_verdicts,
     support_projection,
 )
-from entanglecone.rng import derive_stream, random_hermitian
+from reference import derive_stream, min_eigenpair, random_hermitian
 
 
 def _charpoly_eigenvalues(x):

@@ -2,35 +2,29 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from entanglecone import classify, states
+from entanglecone.classify import builtin_choi_map, default_witness_library
+from entanglecone.duality import compose, kraus_to_map, post_transpose
 from entanglecone.rng import (
-    SplitMix64,
     complex_unit_vectors,
-    derive_stream,
     gaussian_complex_matrix,
-    random_density,
+    gaussian_vectors,
     random_hermitian,
     random_unitary,
+    stream_words,
 )
-
-# Published SplitMix64 sequence for seed 1234567 (Vigna's reference C code).
-_REFERENCE_SEED = 1234567
-_REFERENCE_OUTPUTS = [
-    6457827717110365317,
-    3203168211198807973,
-    9817491932198370423,
-    4593380528125082431,
-    16408922859458223821,
-]
+import reference
+from reference import VIGNA_OUTPUTS, VIGNA_SEED, SplitMix64, derive_stream, random_density
 
 
 def test_reference_sequence():
-    g = SplitMix64(_REFERENCE_SEED)
-    assert [g.next_u64() for _ in range(5)] == _REFERENCE_OUTPUTS
+    g = SplitMix64(VIGNA_SEED)
+    assert [g.next_u64() for _ in range(5)] == VIGNA_OUTPUTS
 
 
 def test_seed_wraps_to_64_bits():
-    wide = SplitMix64(_REFERENCE_SEED + (1 << 64))
-    narrow = SplitMix64(_REFERENCE_SEED)
+    wide = SplitMix64(VIGNA_SEED + (1 << 64))
+    narrow = SplitMix64(VIGNA_SEED)
     assert [wide.next_u64() for _ in range(3)] == [narrow.next_u64() for _ in range(3)]
 
 
@@ -66,14 +60,20 @@ def test_derive_stream_reproducible_and_distinct():
 
 def test_random_unitary_is_unitary():
     for n in (2, 3, 5):
-        u = random_unitary(derive_stream(11, n), n)
-        assert np.max(np.abs(u @ u.conj().T - np.eye(n))) < 1e-12
+        u = random_unitary(stream_words(11, [n, n + 1]), n)
+        assert u.shape == (2, n, n)
+        assert np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(n))) < 1e-12
 
 
 def test_random_unitary_phase_convention_deterministic():
-    u = random_unitary(derive_stream(3, 0), 4)
-    v = random_unitary(derive_stream(3, 0), 4)
+    u = random_unitary(stream_words(3, [0]), 4)
+    v = random_unitary(stream_words(3, [0]), 4)
     assert np.array_equal(u, v)
+    # The phase fix leaves R with a positive real diagonal.
+    z = gaussian_complex_matrix(stream_words(3, [0]), 4, 4)[0]
+    r = u[0].conj().T @ z
+    assert np.all(np.diagonal(r).real > 0.0)
+    assert np.max(np.abs(np.diagonal(r).imag)) < 1e-12
 
 
 def test_random_density_is_state():
@@ -85,14 +85,13 @@ def test_random_density_is_state():
 
 
 def test_random_hermitian_is_hermitian():
-    x = random_hermitian(derive_stream(17, 0), 5)
-    assert np.max(np.abs(x - x.conj().T)) == 0.0
+    x = random_hermitian(stream_words(17, [0, 1]), 5)
+    assert np.max(np.abs(x - x.conj().swapaxes(-1, -2))) == 0.0
 
 
 def test_gaussian_complex_matrix_shape_and_scale():
-    g = derive_stream(23, 0)
-    m = gaussian_complex_matrix(g, 100, 100)
-    assert m.shape == (100, 100)
+    m = gaussian_complex_matrix(stream_words(23, [0]), 100, 100)
+    assert m.shape == (1, 100, 100)
     # Entries are standard complex gaussians: unit expected |z|^2.
     assert abs(np.mean(np.abs(m) ** 2) - 1.0) < 0.05
 
@@ -113,3 +112,76 @@ def test_complex_unit_vectors_match_the_scalar_streams(seed, dim, count):
     got = complex_unit_vectors(seed, count, dim)
     assert got.shape == (count, dim)
     assert got.tobytes() == want.tobytes()
+
+
+# Each draw of the array path, its scalar form on one stream, and its sizes.
+_SIDE = st.integers(1, 7)
+_DRAWS = {
+    "vector": (
+        gaussian_vectors,
+        lambda s, k: s.gaussian_vector(k),
+        st.tuples(st.integers(1, 15)),
+    ),
+    "matrix": (
+        gaussian_complex_matrix,
+        reference.gaussian_complex_matrix,
+        st.tuples(_SIDE, _SIDE),
+    ),
+    "unitary": (random_unitary, reference.random_unitary, st.tuples(_SIDE)),
+    "hermitian": (random_hermitian, reference.random_hermitian, st.tuples(_SIDE)),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    draws=st.lists(
+        st.sampled_from(sorted(_DRAWS)).flatmap(
+            lambda kind: st.tuples(st.just(kind), _DRAWS[kind][2])
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@example(
+    seed=0, indices=[0], draws=[("vector", (1,)), ("vector", (15,)), ("vector", (2,))]
+)
+@example(
+    seed=2**64 - 1,
+    indices=[7, 2**64 - 1, 7],
+    draws=[("matrix", (7, 7)), ("matrix", (1, 3)), ("matrix", (3, 3))],
+)
+def test_array_draws_match_the_scalar_streams(seed, indices, draws):
+    # Several draws in a row continue each stream where it stopped, bit
+    # for bit, odd sizes included.
+    words = stream_words(seed, indices)
+    scalar = [derive_stream(seed, r) for r in indices]
+    for kind, size in draws:
+        array_draw, scalar_draw, _ = _DRAWS[kind]
+        got = array_draw(words, *size)
+        want = np.stack([scalar_draw(s, *size) for s in scalar])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_set_up_draws_match_the_oracle():
+    # The witness library's twists and the PPT cross-check maps, each
+    # built again from the scalar streams, byte for byte.
+    base = builtin_choi_map()
+    twists = []
+    for k in (1, 2):
+        stream = derive_stream(classify._LIBRARY_SEED, k)
+        a = reference.random_unitary(stream, 3)
+        b = reference.random_unitary(stream, 3)
+        twists.append(compose(kraus_to_map([a]), compose(base, kraus_to_map([b]))))
+    library = dict(default_witness_library(3).entries)
+    for k, want in zip((1, 2), twists):
+        assert library[f"choi3-twist{k}"].choi.tobytes() == want.choi.tobytes()
+    for m in range(1, 5):
+        want = []
+        for k in range(states._PPT_CROSSCHECK_SAMPLES):
+            stream = derive_stream(states._PPT_CROSSCHECK_SEED, k)
+            ops = [reference.gaussian_complex_matrix(stream, m, m) for _ in range(2)]
+            want.append(post_transpose(kraus_to_map(ops)).choi4())
+        assert states._crosscheck_maps(m).tobytes() == np.stack(want).tobytes()

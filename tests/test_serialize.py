@@ -17,12 +17,10 @@ from entanglecone.duality import (
 )
 from entanglecone.errors import DomainError, ParseError
 from entanglecone.linalg import as_matrix
-from entanglecone.rng import derive_stream, gaussian_complex_matrix, random_density
 from entanglecone.serialize import (
     _SLOT,
     decomposition_to_json,
     dumps,
-    ensemble_to_json,
     map_from_json,
     map_report_to_json,
     map_to_json,
@@ -34,6 +32,12 @@ from entanglecone.serialize import (
     state_to_json,
 )
 from entanglecone.states import SearchResult, StateReport, WitnessHit
+from reference import (
+    derive_stream,
+    ensemble_to_json,
+    gaussian_complex_matrix,
+    random_density,
+)
 
 
 def _json_cycle(doc):

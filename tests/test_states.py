@@ -29,21 +29,26 @@ from entanglecone.linalg import (
     hermitian_part,
     is_psd,
     kron,
-    min_eigenpair,
     partial_transpose,
 )
-from entanglecone.rng import derive_stream, random_density, stream_words
+from entanglecone.rng import stream_words
 from entanglecone.states import (
     _dykstra,
-    pairing_via_adjoint,
     peres_equivalence,
     ppt_check,
-    random_product_mixture,
     random_product_mixtures,
-    random_pure_mixture,
     search_ppt_entangled,
     witness_battery,
     witness_pairing,
+)
+from reference import (
+    derive_stream,
+    gaussian_complex_matrix,
+    min_eigenpair,
+    pairing_via_adjoint,
+    random_density,
+    random_product_mixture,
+    random_pure_mixture,
 )
 
 
@@ -227,7 +232,6 @@ def test_witness_pairing_matches_adjoint_route():
         assert abs(direct - adjoint) < 1e-10
     # Rectangular pairing: the map must run between the two factors.
     from entanglecone.duality import kraus_to_map
-    from entanglecone.rng import gaussian_complex_matrix
 
     rect = _holevo_state(stream, 2, 3)
     g = kraus_to_map([gaussian_complex_matrix(stream, 3, 2)])
