@@ -38,6 +38,7 @@ from .linalg import (
     hermitian_part,
     kron,
     psd_verdicts,
+    raise_first_fault,
     support_projection,
 )
 from .rng import gaussian_vectors, random_hermitian, stream_words
@@ -106,10 +107,7 @@ class SeparableEnsemble:
                 (np.abs(trace - 1.0) > 1e-9,
                  f"ensemble factor {label} must have trace one"),
             ]
-        failing = np.stack([bad for bad, _ in faults], axis=1)
-        if failing.any():
-            _, check = np.argwhere(failing)[0]
-            raise DomainError(faults[check][1])
+        raise_first_fault(faults)
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"ensemble weights sum to {total!r}, expected 1")
 

@@ -259,7 +259,7 @@ def classify_map(
         # The Choi functional of a non-CP map is not a state, so the
         # separable-versus-entangled question does not arise.
         eb_verdict = EB_NOT_APPLICABLE
-    elif f.form == "holevo" and f.holevo is not None:
+    elif f.holevo is not None:
         eb_verdict = EB_SEPARABLE
         eb_certificate = f.holevo
     else:

@@ -17,16 +17,13 @@ from .duality import BipartiteState, MatrixMap, pairing_value
 from .errors import DomainError, EntangleConeError, ParseError
 from .linalg import DEFAULT_TOL, Tolerances
 from .serialize import (
-    decomposition_to_json,
     dumps,
     load_json_file,
     map_from_json,
-    map_report_to_json,
     map_to_json,
     matrix_from_json,
-    search_result_to_json,
+    report_to_json,
     state_document_from_json,
-    state_report_to_json,
     state_to_json,
     to_text,
 )
@@ -168,7 +165,7 @@ def _emit(doc: dict, args) -> None:
 
 def _cmd_choi(args) -> int:
     f = _resolve_map(args.map)
-    _emit(map_to_json(f, force_choi=True), args)
+    _emit(map_to_json(f), args)
     return EXIT_OK
 
 
@@ -176,7 +173,7 @@ def _cmd_classify(args) -> int:
     budget = _budget(args)  # reject an oversized budget before any work
     f = _resolve_map(args.map)
     report = classify_map(f, budget, args.seed, _tolerances(args))
-    _emit(map_report_to_json(report), args)
+    _emit(report_to_json(report), args)
     return EXIT_OK
 
 
@@ -189,7 +186,7 @@ def _cmd_analyze(args) -> int:
     report = witness_battery(
         state, tol=_tolerances(args), separable_certificate=separable
     )
-    _emit(state_report_to_json(report), args)
+    _emit(report_to_json(report), args)
     return EXIT_OK
 
 
@@ -198,7 +195,7 @@ def _cmd_decompose(args) -> int:
     if not isinstance(parsed, SeparableEnsemble):
         raise ParseError("decompose requires a state file with ensemble repr")
     result = decompose_separable(parsed, _tolerances(args))
-    _emit(decomposition_to_json(result), args)
+    _emit(report_to_json(result), args)
     return EXIT_OK
 
 
@@ -215,7 +212,7 @@ def _cmd_search(args) -> int:
         tol=_tolerances(args),
         witness_name=args.witness,
     )
-    _emit(search_result_to_json(result), args)
+    _emit(report_to_json(result), args)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(dumps(state_to_json(result.state)) + "\n")

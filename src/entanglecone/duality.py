@@ -32,6 +32,7 @@ from .linalg import (
     kron,
     partial_transpose,
     psd_verdicts,
+    raise_first_fault,
 )
 
 # Cap on n*m, the side of a map's Choi matrix, checked before the Choi
@@ -87,15 +88,11 @@ class HolevoForm:
             omegas = np.stack([omega for omega, _ in checked])
             bs = np.stack([b for _, b in checked])
             zero = np.linalg.norm(bs, axis=(1, 2)) == 0.0
-            faults = [
+            raise_first_fault([
                 (~psd_verdicts(omegas)[0], "Holevo term omega is not PSD"),
                 (~psd_verdicts(bs)[0], "Holevo term b is not PSD"),
                 (zero, "Holevo term b must be nonzero"),
-            ]
-            failing = np.stack([bad for bad, _ in faults], axis=1)
-            if failing.any():
-                _, check = np.argwhere(failing)[0]
-                raise DomainError(faults[check][1])
+            ])
         if shape_fault is not None:
             raise shape_fault
         self.terms = tuple(checked)
@@ -113,17 +110,14 @@ class HolevoForm:
 class MatrixMap:
     """A Hermiticity-preserving linear map phi : M_n -> M_m.
 
-    The Choi matrix is the canonical representation; ``form`` records
-    which description the map was built from, and the original Kraus
-    operators or Holevo terms are kept when they are known, since they
-    carry certificates the Choi matrix alone does not.
+    The Choi matrix is the canonical representation. A map built from
+    Holevo terms keeps them, since they certify entanglement breaking,
+    which the Choi matrix alone does not.
     """
 
     dim_in: int
     dim_out: int
     choi: np.ndarray
-    form: str = "choi"
-    kraus: tuple[np.ndarray, ...] | None = None
     holevo: HolevoForm | None = None
 
     def __post_init__(self) -> None:
@@ -138,8 +132,6 @@ class MatrixMap:
         scale = max(1.0, frob(self.choi))
         if hermitian_deviation(self.choi) > DEFAULT_TOL.psd_slack * scale:
             raise DomainError("Choi matrix is not Hermitian within tolerance")
-        if self.form not in ("choi", "kraus", "holevo"):
-            raise DomainError(f"unknown map form {self.form!r}")
 
     def choi4(self) -> np.ndarray:
         """Choi tensor reshaped to indices [in_row, out_row, in_col, out_col]."""
@@ -290,7 +282,7 @@ def kraus_to_map(ops) -> MatrixMap:
         if v.shape != (m, n):
             raise DimensionError("Kraus operators must share one shape")
         c4 += np.einsum("ki,lj->ikjl", v, v.conj())
-    return MatrixMap(n, m, c4.reshape(n * m, n * m), form="kraus", kraus=ops)
+    return MatrixMap(n, m, c4.reshape(n * m, n * m))
 
 
 def holevo_to_map(form: HolevoForm) -> MatrixMap:
@@ -303,7 +295,7 @@ def holevo_to_map(form: HolevoForm) -> MatrixMap:
     choi = np.zeros((n * m, n * m), dtype=np.complex128)
     for omega, b in form.terms:
         choi += kron(omega.T, b)
-    return MatrixMap(n, m, choi, form="holevo", holevo=form)
+    return MatrixMap(n, m, choi, holevo=form)
 
 
 def state_from_map(f: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> BipartiteState:

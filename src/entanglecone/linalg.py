@@ -212,6 +212,15 @@ def is_psd(
     return (True, None) if ok else (False, vec)
 
 
+def raise_first_fault(faults: list[tuple[np.ndarray, str]]) -> None:
+    """Raise DomainError for the first term failing a check: faults pair a
+    per-term failure mask with its message, in check order."""
+    failing = np.stack([bad for bad, _ in faults], axis=1)
+    if failing.any():
+        _, check = np.argwhere(failing)[0]
+        raise DomainError(faults[check][1])
+
+
 def support_projection(
     x: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:

@@ -1,30 +1,28 @@
 """Canonical JSON encodings for matrices, maps, states and reports.
 
-Matrices are row-major lists of [re, im] pairs. Serialization is
-deterministic: sorted keys, fixed layout, and Python's shortest
-round-trip float formatting, so identical values produce identical
-bytes. Parsing raises ParseError on malformed documents and leaves
-mathematical validation (PSD checks and so on) to the constructors.
+Matrices are row-major lists of [re, im] pairs whose parts are JSON
+numbers. A map document is its Choi matrix; a report document holds the
+report's fields under their own names. Serialization is deterministic:
+dumps writes json's ``sort_keys``, ``indent=2`` layout with Python's
+shortest round-trip float formatting, so identical values produce
+identical bytes. Parsing raises ParseError on malformed documents and
+leaves mathematical validation (PSD checks and so on) to the
+constructors.
 """
 from __future__ import annotations
 
-import contextlib
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 
-from .blocks import BlockDecomposition, SeparableEnsemble
-from .classify import MapClassReport
-from .duality import (
-    BipartiteState,
-    HolevoForm,
-    MatrixMap,
-    holevo_to_map,
-    kraus_to_map,
-)
+from .blocks import SeparableEnsemble
+from .duality import BipartiteState, HolevoForm, MatrixMap, holevo_to_map, kraus_to_map
 from .errors import ParseError
-from .states import SearchResult, StateReport
+
+# The types json.load gives a JSON number; bool is not among them.
+_NUMBER = (int, float)
 
 
 class _Entries(list):
@@ -45,7 +43,7 @@ def _json_int(value, field: str) -> int:
 
 def _json_float(value, field: str) -> float:
     """A JSON number as a float: an int or a float, not a bool or a string."""
-    if type(value) not in (int, float):
+    if type(value) not in _NUMBER:
         raise ParseError(f"{field} must be a number, not {value!r}")
     try:
         return float(value)
@@ -74,43 +72,33 @@ def matrix_from_json(obj) -> np.ndarray:
     if rows < 1 or cols < 1:
         raise ParseError("matrix dimensions must be positive")
     if not isinstance(entries, list) or len(entries) != rows * cols:
-        raise ParseError(
-            f"matrix entries must hold {rows * cols} [re, im] pairs"
-        )
-    # Well-formed finite entries take one array conversion; re + 1j * im
-    # is the loop's float(re) + 1j * float(im) bit for bit, signed zeros
-    # too. Anything else, None (which numpy reads as NaN) included, goes
-    # through the loop, which raises for the first bad entry.
-    if all(isinstance(pair, list) and len(pair) == 2 for pair in entries):
-        with contextlib.suppress(TypeError, ValueError, OverflowError):
-            flat = np.fromiter(
-                itertools.chain.from_iterable(entries), np.float64, 2 * len(entries)
-            )
-            if np.isfinite(flat).all():
-                return (flat[0::2] + 1j * flat[1::2]).reshape(rows, cols)
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for k, pair in enumerate(entries):
+        raise ParseError(f"matrix entries must hold {rows * cols} [re, im] pairs")
+    # One conversion; re + 1j * im is float(re) + 1j * float(im) bit for
+    # bit, signed zeros too. _parts checks each entry as fromiter reaches
+    # it, so the first bad entry reports, a float overflow included.
+    try:
+        flat = np.fromiter(_parts(entries), np.float64, 2 * len(entries))
+    except OverflowError as exc:
+        raise ParseError("matrix entries must be numeric") from exc
+    return (flat[0::2] + 1j * flat[1::2]).reshape(rows, cols)
+
+
+def _parts(entries: list):
+    """re, im, re, im, ... of [re, im] pairs of JSON numbers."""
+    for pair in entries:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError("matrix entries must be [re, im] pairs")
-        try:
-            out[k // cols, k % cols] = float(pair[0]) + 1j * float(pair[1])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError("matrix entries must be numeric") from exc
-    return out
+        re, im = pair
+        if type(re) not in _NUMBER or type(im) not in _NUMBER:
+            raise ParseError("matrix entries must be numeric")
+        yield re
+        yield im
 
 
-def map_to_json(f: MatrixMap, force_choi: bool = False) -> dict:
-    doc = {"dim_in": f.dim_in, "dim_out": f.dim_out}
-    if force_choi or f.form == "choi":
-        doc["repr"] = "choi"
-        doc["choi"] = matrix_to_json(f.choi)
-    elif f.form == "kraus":
-        doc["repr"] = "kraus"
-        doc["kraus"] = [matrix_to_json(v) for v in f.kraus]
-    else:
-        doc["repr"] = "holevo"
-        doc["holevo"] = holevo_terms_to_json(f.holevo)
-    return doc
+def map_to_json(f: MatrixMap) -> dict:
+    """The Choi document of a map, however it was built."""
+    choi = matrix_to_json(f.choi)
+    return {"dim_in": f.dim_in, "dim_out": f.dim_out, "repr": "choi", "choi": choi}
 
 
 def holevo_terms_to_json(form: HolevoForm) -> list:
@@ -149,16 +137,13 @@ def map_from_json(obj) -> MatrixMap:
         if not isinstance(ops, list) or not ops:
             raise ParseError("kraus repr requires a nonempty 'kraus' list")
         f = kraus_to_map([matrix_from_json(v) for v in ops])
-        if (f.dim_in, f.dim_out) != (n, m):
-            raise ParseError("kraus operator shapes disagree with declared dims")
-        return f
-    if repr_tag == "holevo":
-        form = holevo_terms_from_json(obj.get("holevo"))
-        f = holevo_to_map(form)
-        if (f.dim_in, f.dim_out) != (n, m):
-            raise ParseError("holevo term shapes disagree with declared dims")
-        return f
-    raise ParseError(f"unknown map repr {repr_tag!r}")
+    elif repr_tag == "holevo":
+        f = holevo_to_map(holevo_terms_from_json(obj.get("holevo")))
+    else:
+        raise ParseError(f"unknown map repr {repr_tag!r}")
+    if (f.dim_in, f.dim_out) != (n, m):
+        raise ParseError(f"{repr_tag} shapes disagree with declared dims")
+    return f
 
 
 def state_to_json(s: BipartiteState) -> dict:
@@ -195,9 +180,7 @@ def state_document_from_json(obj) -> BipartiteState | SeparableEnsemble:
                 a = matrix_from_json(term["a"])
                 b = matrix_from_json(term["b"])
             except KeyError as exc:
-                raise ParseError(
-                    "ensemble terms need 'weight', 'a' and 'b'"
-                ) from exc
+                raise ParseError("ensemble terms need 'weight', 'a' and 'b'") from exc
             terms.append((weight, a, b))
         ens = SeparableEnsemble(tuple(terms))
         if ens.dims != (n, m):
@@ -206,141 +189,87 @@ def state_document_from_json(obj) -> BipartiteState | SeparableEnsemble:
     raise ParseError(f"unknown state repr {repr_tag!r}")
 
 
-def _vector_or_null(v: np.ndarray | None) -> dict | None:
-    return None if v is None else matrix_to_json(np.asarray(v).reshape(-1, 1))
+# Report fields written under another key.
+_RENAMED = {"witness_name": "witness"}
 
 
-def map_report_to_json(r: MapClassReport) -> dict:
-    return {
-        "dim_in": r.dim_in,
-        "dim_out": r.dim_out,
-        "cp": r.cp,
-        "cp_witness": _vector_or_null(r.cp_witness),
-        "copositive": r.copositive,
-        "copositive_witness": _vector_or_null(r.copositive_witness),
-        "block_min": r.block_min,
-        "block_x": _vector_or_null(r.block_x),
-        "block_y": _vector_or_null(r.block_y),
-        "block_converged": r.block_converged,
-        "positive_verdict": r.positive_verdict,
-        "eb_verdict": r.eb_verdict,
-        "eb_certificate": (
-            None if r.eb_certificate is None else holevo_terms_to_json(r.eb_certificate)
-        ),
-        "eb_witness_name": r.eb_witness_name,
-    }
+def report_to_json(node):
+    """The JSON document of a report dataclass, by walking its fields.
+
+    States, Holevo forms and arrays take their own encoders (a vector
+    becomes one column), tuples become lists, and every other value is
+    written as it is.
+    """
+    if isinstance(node, np.ndarray):
+        return matrix_to_json(node)
+    if isinstance(node, tuple):
+        return [report_to_json(item) for item in node]
+    if not dataclasses.is_dataclass(node):
+        return node
+    if isinstance(node, BipartiteState):
+        return state_to_json(node)
+    if isinstance(node, HolevoForm):
+        return holevo_terms_to_json(node)
+    names = [field.name for field in dataclasses.fields(node)]
+    return {_RENAMED.get(k, k): report_to_json(getattr(node, k)) for k in names}
 
 
-def state_report_to_json(r: StateReport) -> dict:
-    return {
-        "dims": [r.dims[0], r.dims[1]],
-        "mass": r.mass,
-        "ppt": r.ppt,
-        "ppt_min_eigenvalue": r.ppt_min_eigenvalue,
-        "ppt_witness": _vector_or_null(r.ppt_witness),
-        "entanglement": r.entanglement,
-        "certificate_name": r.certificate_name,
-        "certificate_value": r.certificate_value,
-        "certificate_vector": _vector_or_null(r.certificate_vector),
-        "hits": [
-            {
-                "name": h.name,
-                "eigenvalue": h.eigenvalue,
-                "eigenvector": _vector_or_null(h.eigenvector),
-            }
-            for h in r.hits
-        ],
-        "peres_crosscheck": r.peres_crosscheck,
-    }
-
-
-def search_result_to_json(r: SearchResult) -> dict:
-    return {
-        "witness": r.witness_name,
-        "violation": r.violation,
-        "iterations": r.iterations,
-        "converged": r.converged,
-        "seed": r.seed,
-        "state": state_to_json(r.state),
-    }
-
-
-def decomposition_to_json(d: BlockDecomposition) -> dict:
-    return {
-        "components": [
-            {
-                "indices": list(c.indices),
-                "weight": c.weight,
-                "e": matrix_to_json(c.e),
-                "f": matrix_to_json(c.f),
-                "state": state_to_json(c.state),
-            }
-            for c in d.components
-        ],
-        "max_cross_overlap": d.max_cross_overlap,
-    }
-
-
-# Stands in for each matrix's entries in the skeleton that json encodes.
-# The NULs keep it apart from every string the package writes; a
-# document string equal to it is rejected rather than spliced.
-_SLOT = "\x00entries\x00"
-_SLOT_JSON = json.dumps(_SLOT)
+_encode_key = json.encoder.encode_basestring_ascii
+_encode_leaf = json.JSONEncoder(allow_nan=False).encode
 
 
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, two-space indent.
+    """Canonical JSON text: the bytes of ``json.dumps(obj, sort_keys=True,
+    indent=2, allow_nan=False)``, for documents with string keys.
 
-    The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2,
-    allow_nan=False)``. That call runs the stdlib's pure-Python encoder
-    (``indent`` rules out the C one), so here it encodes only a
-    skeleton, with a slot in place of each matrix's entries; the
-    entries are rendered with ``float.__repr__``, as json renders
-    floats, and spliced in at their slot's indent. Non-finite values
-    raise ValueError, as with ``allow_nan=False``.
+    With ``indent`` the stdlib runs its pure-Python encoder, one call
+    per value; here each matrix's entries are rendered in one go with
+    ``float.__repr__``, as json renders floats. Non-finite values raise
+    ValueError, as with ``allow_nan=False``.
     """
-    blocks: list[_Entries] = []
-    skeleton = _skeleton(obj, blocks)
-    text = json.dumps(skeleton, sort_keys=True, indent=2, allow_nan=False)
-    parts = text.split(_SLOT_JSON)
-    if len(parts) != len(blocks) + 1:
-        raise ValueError("a document string equals the matrix entries placeholder")
-    out = []
-    for before, entries in zip(parts, blocks):
-        line = before[before.rfind("\n") + 1:]
-        out += [before, _render_entries(entries, len(line) - len(line.lstrip(" ")))]
-    out.append(parts[-1])
+    out: list[str] = []
+    _emit(obj, "\n", out)
     return "".join(out)
 
 
-def _skeleton(node, blocks: list):
-    """Copy of a document with each _Entries replaced by _SLOT, visited in
-    json's sorted-key order so that blocks[i] fills the i-th slot."""
-    if type(node) is _Entries:
-        blocks.append(node)
-        return _SLOT
-    if isinstance(node, dict):
-        return {key: _skeleton(node[key], blocks) for key in sorted(node)}
-    if isinstance(node, (list, tuple)):
-        return [_skeleton(item, blocks) for item in node]
-    return node
+def _emit(node, newline: str, out: list) -> None:
+    """Append node's text to out; ``newline`` is a line break followed by
+    the indent of the line node starts on."""
+    if type(node) is _Entries and node:
+        out.append(_render_entries(node, newline))
+    elif isinstance(node, (dict, list, tuple)):
+        if isinstance(node, dict):
+            brackets = "{}"
+            items = [(_encode_key(key) + ": ", node[key]) for key in sorted(node)]
+        else:
+            brackets, items = "[]", [("", item) for item in node]
+        if not items:
+            out.append(brackets)
+            return
+        inner = newline + "  "
+        sep = brackets[0] + inner
+        for prefix, child in items:
+            out += (sep, prefix)
+            _emit(child, inner, out)
+            sep = "," + inner
+        out += (newline, brackets[1])
+    else:
+        out.append(_encode_leaf(node))
 
 
-def _render_entries(entries: _Entries, indent: int) -> str:
-    """json's indent=2 layout of a list of [re, im] float pairs whose
-    opening bracket sits on a line indented by ``indent`` spaces."""
-    if not entries:
-        return "[]"
-    outer = " " * (indent + 2)
-    inner = " " * (indent + 4)
+def _render_entries(entries: _Entries, newline: str) -> str:
+    """json's indent=2 layout of a nonempty list of [re, im] float pairs;
+    ``newline`` is a line break and the indent of its opening line."""
+    outer = newline + "  "
+    inner = outer + "  "
     # %r is float.__repr__ on the Python floats matrix_to_json stores.
-    body = f"\n{outer}],\n{outer}[\n{inner}".join(
-        [f"%r,\n{inner}%r"] * len(entries)
+    body = f"{outer}],{outer}[{inner}".join(
+        [f"%r,{inner}%r"] * len(entries)
     ) % tuple(itertools.chain.from_iterable(entries))
     # Finite float reprs hold no "n"; nan, inf and -inf do.
     if "n" in body:
         raise ValueError("Out of range float values are not JSON compliant")
-    return f"[\n{outer}[\n{inner}{body}\n{outer}]\n{' ' * indent}]"
+    return f"[{outer}[{inner}{body}{outer}]{newline}]"
 
 
 def to_text(obj, prefix: str = "") -> str:
@@ -357,14 +286,9 @@ def to_text(obj, prefix: str = "") -> str:
                 return
             for key in sorted(node):
                 walk(node[key], f"{path}.{key}" if path else key)
-        elif isinstance(node, list):
-            if node and all(not isinstance(v, (dict, list)) for v in node):
-                lines.append(f"{path}: {node}")
-            else:
-                for i, v in enumerate(node):
-                    walk(v, f"{path}[{i}]")
-                if not node:
-                    lines.append(f"{path}: []")
+        elif isinstance(node, list) and any(isinstance(v, (dict, list)) for v in node):
+            for i, v in enumerate(node):
+                walk(v, f"{path}[{i}]")
         else:
             lines.append(f"{path}: {node}")
 

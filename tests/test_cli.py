@@ -482,6 +482,12 @@ def _ensemble_with_weight(weight) -> str:
 _MATRIX_TEXT = json.dumps(_fuzz_bases()["matrix"][0])
 
 
+def _unit_density_with_entry(entry: list) -> str:
+    """A 1x1 density document whose one entry is ``entry``."""
+    doc = {"rows": 1, "cols": 1, "entries": [entry]}
+    return json.dumps({"dims": [1, 1], "repr": "density", "density": doc})
+
+
 @pytest.mark.parametrize(
     "command, texts",
     [
@@ -511,16 +517,18 @@ _MATRIX_TEXT = json.dumps(_fuzz_bases()["matrix"][0])
         ("analyze-state", ['{"dims": [' + "9" * 5000 + ", 1]}"]),
         ("decompose", [_ensemble_with_weight("0.5")]),
         ("analyze-state", [_ensemble_with_weight(True)]),
+        ("analyze-state", [_unit_density_with_entry(["1", "0"])]),
+        ("analyze-state", [_unit_density_with_entry([True, 0])]),
     ],
     ids=[
         "dim-in-infinity", "dims-infinity", "dims-true", "deep-map", "deep-state",
         "density-huge-int", "pair-huge-int", "weight-huge-int", "int-too-long",
-        "weight-string", "weight-true",
+        "weight-string", "weight-true", "entry-string", "entry-true",
     ],
 )
 def test_documents_that_escaped_main_exit_2(command, texts):
     # These ended in a traceback and exit 1, or for `true` and the
-    # string weight, in exit 0 or 3.
+    # string weight or entry, in exit 0 or 3.
     code, out, err = _run_texts(command, texts)
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ")
