@@ -291,14 +291,13 @@ def decompose_separable(
 
     _validate_splitting_identity(a, b, e)
 
-    states = BipartiteState.stack((n, m), density)
     components = tuple(
         BlockComponent(
             tuple(np.flatnonzero(label == s).tolist()),
             e[s],
             f[s],
             float(weight[s]),
-            states[s],
+            BipartiteState((n, m), density[s]),
         )
         for s in range(c)
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, EntangleConeError
+from .errors import DimensionError, DomainError
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -31,8 +31,6 @@ from .linalg import (
     is_psd,
     kron,
     partial_transpose,
-    psd_verdicts,
-    raise_first_fault,
 )
 
 # Cap on n*m, the side of a map's Choi matrix, checked before the Choi
@@ -65,36 +63,21 @@ class HolevoForm:
         if not self.terms:
             raise DomainError("a Holevo form needs at least one term")
         checked = []
-        shape_fault = None
         n = m = None
+        # The first failing term reports: its shape, then omega, then b.
         for omega, b in self.terms:
-            try:
-                omega = as_matrix(omega)
-                b = as_matrix(b)
-            except EntangleConeError as exc:
-                shape_fault = exc
-                break
+            omega = as_matrix(omega)
+            b = as_matrix(b)
             n = n or omega.shape[0]
             m = m or b.shape[0]
             if omega.shape[0] != n or b.shape[0] != m:
-                shape_fault = DimensionError(
-                    "inconsistent term dimensions in Holevo form"
-                )
-                break
+                raise DimensionError("inconsistent term dimensions in Holevo form")
+            for part, label in ((omega, "omega"), (b, "b")):
+                if not is_psd(part)[0]:
+                    raise DomainError(f"Holevo term {label} is not PSD")
+            if frob(b) == 0.0:
+                raise DomainError("Holevo term b must be nonzero")
             checked.append((omega, b))
-        # One spectrum per side for the terms before the first shape fault.
-        # The first failing term reports: its shape, then omega, then b.
-        if checked:
-            omegas = np.stack([omega for omega, _ in checked])
-            bs = np.stack([b for _, b in checked])
-            zero = np.linalg.norm(bs, axis=(1, 2)) == 0.0
-            raise_first_fault([
-                (~psd_verdicts(omegas)[0], "Holevo term omega is not PSD"),
-                (~psd_verdicts(bs)[0], "Holevo term b is not PSD"),
-                (zero, "Holevo term b must be nonzero"),
-            ])
-        if shape_fault is not None:
-            raise shape_fault
         self.terms = tuple(checked)
 
     @property
@@ -149,32 +132,11 @@ class BipartiteState:
     def __post_init__(self) -> None:
         n, m = self.dims
         self.dims = (int(n), int(m))
-        self.density = as_matrix(self.density)
-        if self.density.shape != (n * m, n * m):
-            raise DimensionError(
-                f"density shape {self.density.shape} does not match dims {self.dims}"
-            )
+        self.density = check_bipartite(self.density, self.dims)
         if not is_psd(self.density)[0]:
             raise DomainError("state density is not PSD within tolerance")
         if self.mass <= 0.0:
             raise DomainError("state must have positive trace")
-
-    @classmethod
-    def stack(
-        cls, dims: tuple[int, int], densities: np.ndarray
-    ) -> tuple["BipartiteState", ...]:
-        """One state per matrix of a stack ``(c, nm, nm)``: the checks of
-        the constructor, taken with one stacked spectrum."""
-        dims = (int(dims[0]), int(dims[1]))
-        densities = check_bipartite(densities, dims, stacked=True)
-        if not psd_verdicts(densities)[0].all():
-            raise DomainError("state density is not PSD within tolerance")
-        if (np.trace(densities, axis1=1, axis2=2).real <= 0.0).any():
-            raise DomainError("state must have positive trace")
-        states = tuple(object.__new__(cls) for _ in densities)
-        for state, density in zip(states, densities):
-            state.dims, state.density = dims, density
-        return states
 
     @property
     def mass(self) -> float:
@@ -370,11 +332,7 @@ def identity_map(n: int) -> MatrixMap:
     """The identity on M_n; its Choi matrix is n times the maximally
     entangled projection."""
     _check_choi_size(n, n)
-    c4 = np.zeros((n, n, n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            c4[i, i, j, j] = 1.0
-    return MatrixMap(n, n, c4.reshape(n * n, n * n))
+    return MatrixMap(n, n, maximally_entangled_matrix(n))
 
 
 def transpose_map(n: int) -> MatrixMap:

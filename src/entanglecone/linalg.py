@@ -45,16 +45,18 @@ DEFAULT_TOL = Tolerances()
 
 
 def as_matrix(x, square: bool = True, stacked: bool = False) -> np.ndarray:
-    """Coerce to a finite complex 2-D array, validating shape.
+    """Coerce to a finite, nonempty complex 2-D array, validating shape.
 
     With ``stacked`` a stack of matrices ``(..., k, l)`` is accepted too.
     """
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim != 2 and not (stacked and a.ndim > 2):
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
+    if 0 in a.shape[-2:]:
+        raise DimensionError(f"expected a nonempty matrix, got shape {a.shape}")
     if square and a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(a)):
         raise DomainError("matrix contains non-finite entries")
     return a
 

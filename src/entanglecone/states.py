@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import Budget, WitnessLibrary, default_witness_library, is_copositive, is_cp
+from .classify import Budget, default_witness_library, is_copositive, is_cp
 from .duality import (
     BipartiteState,
     MatrixMap,
@@ -118,6 +118,18 @@ def _crosscheck_maps(m: int) -> np.ndarray:
     return stacked
 
 
+def _second_factor_verdicts(
+    s: BipartiteState, choi4: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psd_verdicts of the Hermitian part of (id (x) phi)(rho) for every map
+    phi of a stack of Choi tensors (L, m, p, m, p), as apply_to_second
+    evaluates one, from one stacked spectrum."""
+    n, m = s.dims
+    out = np.einsum("ikjl,skalb->siajb", s.density.reshape(n, m, n, m), choi4)
+    p = choi4.shape[-1]
+    return psd_verdicts(hermitian_part(out.reshape(len(choi4), n * p, n * p)), tol)
+
+
 def _crosscheck_ppt(
     s: BipartiteState, ok: bool, ok_first: bool, tol: Tolerances
 ) -> None:
@@ -125,19 +137,12 @@ def _crosscheck_ppt(
         raise NumericalError(
             "partial transposes on the two factors disagree about positivity"
         )
-    if ok:
-        # (id (x) phi_s)(rho) for every map at once, as apply_to_second
-        # evaluates one; each output is held to its own PSD slack.
-        n, m = s.dims
-        choi4 = _crosscheck_maps(m)
-        x4 = s.density.reshape(n, m, n, m)
-        out = np.einsum("ikjl,skalb->siajb", x4, choi4)
-        out = hermitian_part(out.reshape(len(choi4), n * m, n * m))
-        if not psd_verdicts(out, tol)[0].all():
-            raise NumericalError(
-                "a random copositive map produced a negative output "
-                "on a state that passed the partial-transpose test"
-            )
+    # Each output of a random copositive map is held to its own PSD slack.
+    if ok and not _second_factor_verdicts(s, _crosscheck_maps(s.dims[1]), tol)[0].all():
+        raise NumericalError(
+            "a random copositive map produced a negative output "
+            "on a state that passed the partial-transpose test"
+        )
 
 
 def ppt_check(
@@ -183,12 +188,11 @@ class StateReport:
 
 def witness_battery(
     s: BipartiteState,
-    lib: WitnessLibrary | None = None,
     tol: Tolerances = DEFAULT_TOL,
     separable_certificate: bool = False,
     dual_verdicts: tuple[bool, bool] | None = None,
 ) -> StateReport:
-    """Apply every library map to the second factor and collect verdicts.
+    """Apply default_witness_library to the second factor; collect verdicts.
 
     A separable certificate attached by the caller (states built from
     an explicit product ensemble) turns the verdict into
@@ -200,12 +204,10 @@ def witness_battery(
     map_from_state(s), for a caller that has already taken them;
     otherwise the battery takes them from the state.
     """
-    n, m = s.dims
     # BipartiteState checked PSD at the default slack; the hits below use
     # tol's, so a density that dips below that slack is no state.
     if tol != DEFAULT_TOL and not is_psd(s.density, tol)[0]:
         raise DomainError("state density is not PSD within tolerance")
-    lib = lib if lib is not None else default_witness_library(m)
     ppt, ppt_eig, ppt_vec = _ppt_spectra(s, tol)
     if dual_verdicts is None:
         dual_verdicts = is_cp(map_from_state(s), tol)[0], _copositive_dual(s, tol)
@@ -213,28 +215,14 @@ def witness_battery(
     _crosscheck_ppt(s, ppt, copositive_dual, tol)
     ppt_witness = None if ppt else ppt_vec
 
-    outputs: list[tuple[str, np.ndarray]] = []
-    for name, psi in lib.entries:
-        if psi.dim_in != m:
-            logger.warning(
-                "skipping witness %s: input dimension %d does not match "
-                "second factor %d",
-                name,
-                psi.dim_in,
-                m,
-            )
-            continue
-        outputs.append((name, hermitian_part(apply_to_second(s.density, s.dims, psi))))
-    # One stacked spectrum per output size, in library order.
-    spectra = {}
-    for size in {out.shape[-1] for _, out in outputs}:
-        group = [out for _, out in outputs if out.shape[-1] == size]
-        spectra[size] = iter(zip(*psd_verdicts(np.stack(group), tol)))
-    hits: list[WitnessHit] = []
-    for name, out in outputs:
-        ok, low, vec = next(spectra[out.shape[-1]])
-        if not ok:
-            hits.append(WitnessHit(name, float(low), vec))
+    entries = default_witness_library(s.dims[1]).entries
+    choi4 = np.stack([psi.choi4() for _, psi in entries])
+    verdicts = _second_factor_verdicts(s, choi4, tol)
+    hits = [
+        WitnessHit(name, float(low), vec)
+        for (name, _), ok, low, vec in zip(entries, *verdicts)
+        if not ok
+    ]
 
     if separable_certificate and hits:
         raise NumericalError(
@@ -251,8 +239,7 @@ def witness_battery(
         cert_vec = hits[0].eigenvector
         cert_val = hits[0].eigenvalue
     elif not ppt:
-        # No library map of matching dimension caught it, but the
-        # partial transpose itself did.
+        # No library map caught it, but the partial transpose itself did.
         verdict = CERTIFIED_ENTANGLED
         cert_name = "partial-transpose"
         cert_vec = ppt_witness

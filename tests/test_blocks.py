@@ -49,6 +49,8 @@ def test_ensemble_validation():
     for weight in (np.nan, np.inf):
         with pytest.raises(DomainError, match="weights must be finite"):
             SeparableEnsemble(((weight, _E11_2, _E11_2), (0.5, _E22_2, _E22_2)))
+    with pytest.raises(DimensionError, match="nonempty"):
+        SeparableEnsemble(((1.0, np.zeros((0, 0)), _E11_2),))
     ens = _two_block_ensemble()
     assert ens.dims == (2, 2)
     s = ens.to_state()

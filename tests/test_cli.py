@@ -361,6 +361,24 @@ def test_analyze_rejects_density_below_requested_slack(tmp_path, capsys):
     assert json.loads(out)["entanglement"] == "inconclusive"
 
 
+def _density_text(dims: list, density: np.ndarray) -> str:
+    doc = {"dims": dims, "repr": "density", "density": matrix_to_json(density)}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "dims, density",
+    [([-1, -1], np.eye(1, dtype=complex)), ([-2, -2], np.eye(4, dtype=complex) / 4)],
+    ids=["dims-minus-one", "dims-minus-two"],
+)
+def test_negative_state_dims_exit_3(dims, density):
+    # The dims multiply to the density's side. The battery's identity map
+    # on a negative factor ended in a traceback and exit 1.
+    code, out, err = _run_texts("analyze-state", [_density_text(dims, density)])
+    assert (code, out) == (3, "")
+    assert "Traceback" not in err
+
+
 def _fuzz_bases() -> dict:
     """A valid document for each file argument of the commands that read one."""
     e11 = np.diag([1.0, 0.0]).astype(complex)

@@ -350,31 +350,29 @@ def test_apply_map_dimension_check():
 
 
 def test_bipartite_state_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="not PSD"):
         BipartiteState((2, 2), np.diag([1.0, -0.2, 0.1, 0.1]).astype(complex))
+    with pytest.raises(DomainError, match="positive trace"):
+        BipartiteState((2, 3), np.zeros((6, 6)))
+    with pytest.raises(DimensionError):
+        BipartiteState((3, 3), random_density(derive_stream(221, 0), 6))
     s = BipartiteState((2, 2), np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex))
     t = s.normalized()
     assert abs(np.trace(t.density).real - 1.0) < 1e-13
 
 
-def test_bipartite_state_stack_proves_every_state_with_one_spectrum(eigh_inputs):
-    stream = derive_stream(221, 0)
-    densities = np.stack([random_density(stream, 6) for _ in range(3)])
-    eigh_inputs.clear()
-    states = BipartiteState.stack((2, 3), densities)
-    assert len(eigh_inputs) == 1
-    assert [s.dims for s in states] == [(2, 3)] * 3
-    assert all(np.array_equal(s.density, d) for s, d in zip(states, densities))
-    # The constructor's checks and messages, for any member of the stack.
-    bad = densities.copy()
-    bad[1] = np.diag([1.0, -0.2, 0.1, 0.1, 0.0, 0.0])
-    with pytest.raises(DomainError, match="not PSD"):
-        BipartiteState.stack((2, 3), bad)
-    bad[1] = np.zeros((6, 6))
-    with pytest.raises(DomainError, match="positive trace"):
-        BipartiteState.stack((2, 3), bad)
+@pytest.mark.parametrize(
+    "dims, density",
+    [
+        # The dims multiply to the density's side, but no factor is empty.
+        ((-1, -1), np.eye(1)),
+        ((-2, -2), np.eye(4) / 4.0),
+        ((0, 3), np.zeros((0, 0))),
+    ],
+)
+def test_bipartite_state_rejects_empty_or_negative_dims(dims, density):
     with pytest.raises(DimensionError):
-        BipartiteState.stack((3, 3), densities)
+        BipartiteState(dims, density)
 
 
 def test_holevo_form_validation():
@@ -383,6 +381,8 @@ def test_holevo_form_validation():
         HolevoForm(((indefinite, np.eye(2, dtype=complex)),))
     with pytest.raises(DomainError):
         HolevoForm(())
+    with pytest.raises(DimensionError, match="nonempty"):
+        HolevoForm(((np.zeros((0, 0)), np.eye(2)),))
 
 
 _EYE2 = np.eye(2, dtype=complex)

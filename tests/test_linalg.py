@@ -346,6 +346,9 @@ def test_as_matrix_validation():
         as_matrix(np.zeros((2, 3)))
     rect = as_matrix(np.zeros((2, 3)), square=False)
     assert rect.shape == (2, 3)
+    for empty in ((0, 0), (0, 3), (2, 0), (4, 0, 0)):
+        with pytest.raises(DimensionError, match="nonempty"):
+            as_matrix(np.zeros(empty), square=False, stacked=True)
 
 
 def test_tolerances_validation():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from entanglecone import states
 from entanglecone.classify import (
     Budget,
-    WitnessLibrary,
     builtin_choi_map,
     default_witness_library,
 )
@@ -26,10 +25,12 @@ from entanglecone.duality import (
 )
 from entanglecone.errors import NumericalError
 from entanglecone.linalg import (
+    DEFAULT_TOL,
     hermitian_part,
     is_psd,
     kron,
     partial_transpose,
+    psd_verdicts,
 )
 from entanglecone.rng import stream_words
 from entanglecone.states import (
@@ -96,10 +97,9 @@ def _equal_count(arrays, x):
 def test_battery_diagonalises_each_partial_transpose_once(eigh_inputs):
     # A complex state: for a real one the two partial transposes coincide.
     s = BipartiteState((3, 3), random_pure_mixture(derive_stream(409, 0), 9, 2))
-    lib = default_witness_library(3)
-    witness_battery(s, lib)
+    witness_battery(s)
     eigh_inputs.clear()
-    report = witness_battery(s, lib)
+    report = witness_battery(s)
     first = hermitian_part(partial_transpose(s.density, s.dims, "first"))
     second = hermitian_part(partial_transpose(s.density, s.dims, "second"))
     assert not np.array_equal(first, second)
@@ -107,6 +107,42 @@ def test_battery_diagonalises_each_partial_transpose_once(eigh_inputs):
     # Once for the verdict, once as the transpose3 witness.
     assert _equal_count(eigh_inputs, second) == 2
     assert report.peres_crosscheck
+
+
+def _assert_one_map_at_a_time(s, choi4):
+    """The stacked pass over the Choi tensors choi4 equals, bit for bit,
+    the verdicts of each map's own apply_to_second output."""
+    stacked = states._second_factor_verdicts(s, choi4, DEFAULT_TOL)
+    m = s.dims[1]
+    for i, c4 in enumerate(choi4):
+        psi = MatrixMap(m, m, c4.reshape(m * m, m * m))
+        single = psd_verdicts(hermitian_part(apply_to_second(s.density, s.dims, psi)))
+        for got, want in zip(stacked, single):
+            assert got[i].tobytes() == want.tobytes()
+    return stacked
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    m=st.integers(1, 4),
+    rank=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_library_pass_equals_one_map_at_a_time(n, m, rank, seed):
+    h = random_pure_mixture(derive_stream(seed, 0), n * m, rank)
+    s = BipartiteState((n, m), h)
+    entries = default_witness_library(m).entries
+    _assert_one_map_at_a_time(s, np.stack([psi.choi4() for _, psi in entries]))
+
+
+def test_crosscheck_maps_pass_through_the_library_helper():
+    stream = derive_stream(411, 0)
+    for n, m in ((2, 2), (2, 3), (3, 3)):
+        s = BipartiteState((n, m), random_product_mixture(stream, n, m, 3))
+        ok, _, _ = _assert_one_map_at_a_time(s, states._crosscheck_maps(m))
+        # A separable state is PPT, so every copositive map keeps it PSD.
+        assert ok.shape == (20,) and ok.all()
 
 
 def _ppt_product_state():
@@ -203,16 +239,6 @@ def test_witness_battery_separable_certificate_flag():
     report = witness_battery(s, separable_certificate=True)
     assert report.entanglement == "certified-separable"
     assert not report.hits
-
-
-def test_witness_battery_skips_mismatched_entries(caplog):
-    lib = WitnessLibrary(
-        entries=(("transpose3", transpose_map(3)), ("transpose2", transpose_map(2)))
-    )
-    with caplog.at_level(logging.WARNING, logger="entanglecone.states"):
-        report = witness_battery(maximally_entangled(2), lib=lib)
-    assert report.entanglement == "certified-entangled"
-    assert any("transpose3" in rec.message for rec in caplog.records)
 
 
 def test_witness_pairing_pinned_values():
