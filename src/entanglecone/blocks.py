@@ -41,7 +41,6 @@ from .linalg import (
     raise_first_fault,
     support_projection,
 )
-from .rng import gaussian_vectors, random_hermitian, stream_words
 
 logger = logging.getLogger(__name__)
 
@@ -51,8 +50,6 @@ _OVERLAP_THRESHOLD = 1e-8
 # Eigenvalue clusters are split at gaps larger than this fraction of
 # the spectral spread.
 _CLUSTER_GAP = 1e-8
-_DIAG_SEED = 0xD1A6
-_SPLIT_SEED = 0x4B10C5
 
 # Cap on terms * (n*m)^2, the entries of the (terms, nm, nm) stack of
 # products that decomposition forms: 2^20 complex entries are 16 MB, and
@@ -184,21 +181,21 @@ def _is_projection(p: np.ndarray, tol: Tolerances) -> bool:
 def split_by_projection(
     f: MatrixMap,
     e: np.ndarray,
-    samples: int = 20,
-    seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
 ) -> bool:
     """Whether the map splits across e and 1 - e.
 
-    Checks, on random Hermitian inputs x, the two splitting identities
+    Checks the two splitting identities
 
         phi(x) = phi(exe) + phi(fxf)
         phi(x) = phi(e) phi(x) phi(e) + phi(f) phi(x) phi(f)
 
-    with f = 1 - e, plus that phi(e) and phi(f) are orthogonal
-    projections. Requires e to be a projection in the definite set;
-    membership alone does not force the split, so a False return is a
-    meaningful answer, not an error.
+    with f = 1 - e on each x of hermitian_basis(n), plus that phi(e) and
+    phi(f) are orthogonal projections. Both identities are linear in x,
+    so holding on the basis they hold on every Hermitian input. Requires
+    e to be a projection in the definite set; membership alone does not
+    force the split, so a False return is a meaningful answer, not an
+    error.
     """
     e = as_matrix(e)
     if e.shape != (f.dim_in, f.dim_in):
@@ -217,9 +214,7 @@ def split_by_projection(
     if frob(pe @ pf) > check_tol * max(1.0, frob(pe) * frob(pf)):
         return False
 
-    words = stream_words(_SPLIT_SEED ^ seed, [0])
-    for _ in range(samples):
-        x = random_hermitian(words, f.dim_in)[0]
+    for x in hermitian_basis(f.dim_in):
         fx = apply_map(f, x)
         split_inputs = apply_map(f, e @ x @ e) + apply_map(f, fc @ x @ fc)
         split_outputs = pe @ fx @ pe + pf @ fx @ pf
@@ -346,72 +341,20 @@ class NotAbelian:
     commutator_norm: float
 
 
-def _refine_clusters(
-    blocks: list[np.ndarray], images: list[np.ndarray], rng_index: int, depth: int
-) -> list[np.ndarray]:
-    """Split cluster bases until every image compresses to a scalar."""
-    if depth > 12:
-        raise NumericalError(
-            "simultaneous diagonalization failed to refine a degenerate cluster"
-        )
-    out: list[np.ndarray] = []
-    for block in blocks:
-        d = block.shape[1]
-        if d == 1:
-            out.append(block)
-            continue
-        compressions = [block.conj().T @ g @ block for g in images]
-        scalar = True
-        for comp in compressions:
-            mean = np.trace(comp) / d
-            if frob(comp - mean * np.eye(d)) > 1e-8 * max(1.0, frob(comp)):
-                scalar = False
-                break
-        if scalar:
-            out.append(block)
-            continue
-        words = stream_words(_DIAG_SEED, [rng_index + depth])
-        coeffs = gaussian_vectors(words, len(compressions))[0]
-        combo = hermitian_part(
-            sum(c * comp for c, comp in zip(coeffs, compressions))
-        )
-        w, v = hermitian_eigen(combo)
-        sub_blocks = [block @ v[:, idx] for idx in _cluster_indices(w)]
-        out.extend(
-            _refine_clusters(sub_blocks, images, rng_index + 1, depth + 1)
-        )
-    return out
-
-
-def _cluster_indices(w: np.ndarray) -> list[np.ndarray]:
-    """Group sorted eigenvalues into clusters separated by spectral gaps."""
-    spread = float(w[0] - w[-1])
-    if spread <= 1e-12 * max(1.0, abs(float(w[0]))):
-        return [np.arange(len(w))]
-    threshold = _CLUSTER_GAP * spread
-    clusters = []
-    start = 0
-    for i in range(1, len(w)):
-        if w[i - 1] - w[i] > threshold:
-            clusters.append(np.arange(start, i))
-            start = i
-    clusters.append(np.arange(start, len(w)))
-    return clusters
-
-
 def abelian_range_decompose(
     f: MatrixMap, tol: Tolerances = DEFAULT_TOL
 ) -> HolevoForm | NotAbelian:
     """Spectral resolution of a map whose range is commutative.
 
-    The images of a Hermitian basis either all commute, in which case a
-    generic real combination is diagonalized and its eigenvalue
-    clusters (refined recursively where degenerate) yield common
-    spectral projections p_r, giving phi(x) = sum_r omega_r(x) p_r; or
-    some pair fails to commute and that pair is returned as evidence.
+    The images of a Hermitian basis either all commute, or some pair
+    fails to commute and that pair is returned as evidence. Commuting
+    images share their eigenspaces, found by refinement: starting from
+    the whole space as one block, each image in turn splits every block
+    on which its compression is not a scalar along the eigenvalue
+    clusters of that compression. The blocks' projections p_r give
+    phi(x) = sum_r omega_r(x) p_r, checked on the Hermitian basis.
     """
-    n, m = f.dim_in, f.dim_out
-    basis = hermitian_basis(n)
+    basis = hermitian_basis(f.dim_in)
     images = [hermitian_part(apply_map(f, h)) for h in basis]
 
     for k in range(len(images)):
@@ -421,11 +364,22 @@ def abelian_range_decompose(
             if norm > CONVERGENCE * max(1.0, frob(images[k]) * frob(images[l])):
                 return NotAbelian((k, l), norm)
 
-    coeffs = gaussian_vectors(stream_words(_DIAG_SEED, [0]), len(images))[0]
-    combo = hermitian_part(sum(c * g for c, g in zip(coeffs, images)))
-    w, v = hermitian_eigen(combo)
-    blocks = [v[:, idx] for idx in _cluster_indices(w)]
-    blocks = _refine_clusters(blocks, images, 1, 0)
+    blocks = [np.eye(f.dim_out, dtype=np.complex128)]
+    for g in images:
+        if len(blocks) == f.dim_out:
+            break  # every block is rank one, so none can split further
+        refined = []
+        for block in blocks:
+            d = block.shape[1]
+            comp = block.conj().T @ g @ block
+            mean = np.trace(comp) / d
+            if frob(comp - mean * np.eye(d)) <= 1e-8 * max(1.0, frob(comp)):
+                refined.append(block)
+                continue
+            w, v = hermitian_eigen(comp)
+            cuts = np.flatnonzero(w[:-1] - w[1:] > _CLUSTER_GAP * (w[0] - w[-1]))
+            refined.extend(np.split(block @ v, cuts + 1, axis=1))
+        blocks = refined
 
     adjoint = map_adjoint(f)
     terms = []
@@ -438,14 +392,12 @@ def abelian_range_decompose(
         terms.append((sigma, p))
     form = HolevoForm(tuple(terms))
 
-    check_words = stream_words(_DIAG_SEED, [999])
-    for _ in range(5):
-        x = random_hermitian(check_words, n)[0]
-        fx = apply_map(f, x)
-        rebuilt = np.zeros((m, m), dtype=np.complex128)
-        for sigma, p in form.terms:
-            rebuilt += np.real(np.trace(sigma @ x)) * p
-        if frob(fx - rebuilt) > 1e-9 * max(1.0, frob(fx)):
+    # Both sides are linear in x, so agreeing on the basis they agree on
+    # every Hermitian input.
+    for h in basis:
+        fh = apply_map(f, h)
+        rebuilt = sum(np.real(np.trace(sigma @ h)) * p for sigma, p in form.terms)
+        if frob(fh - rebuilt) > 1e-9 * max(1.0, frob(fh)):
             raise NumericalError(
                 "spectral resolution does not reproduce the map within tolerance"
             )

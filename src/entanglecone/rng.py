@@ -99,7 +99,3 @@ def random_unitary(words: np.ndarray, n: int) -> np.ndarray:
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., np.newaxis, :]
 
-
-def random_hermitian(words: np.ndarray, n: int) -> np.ndarray:
-    g = gaussian_complex_matrix(words, n, n)
-    return (g + g.conj().swapaxes(-1, -2)) / 2.0

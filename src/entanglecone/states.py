@@ -350,8 +350,8 @@ def _dykstra(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest point of {PSD} intersect {PT-PSD} to the Hermitian part of x.
 
-    x is one matrix or a stack ``(..., nm, nm)`` of them, projected
-    matrix by matrix; a 2-D x is a stack of one. Returns the projection,
+    x is one matrix or a nonempty stack ``(..., nm, nm)`` of them,
+    projected matrix by matrix; a 2-D x is a stack of one. Returns the projection,
     shaped like x, and the number of sweeps each matrix took, shaped
     like ``x.shape[:-2]``. ``gap`` is each matrix's relative exit gap, a
     scalar or an array shaped like ``x.shape[:-2]``; None means
@@ -434,19 +434,14 @@ def _dykstra(
     v = np.zeros_like(x0) if correction is None else correction.reshape(x0.shape)
     # Per matrix, differences of residuals and of T values over the last
     # sweeps, as real vectors: Anderson's combination has real
-    # coefficients, which keeps v Hermitian. The residual differences are
-    # also kept transposed, the Gram product's contiguous right operand.
+    # coefficients, which keeps v Hermitian.
     d_res = np.zeros((count, _DYKSTRA_MEMORY, 2 * shape[-1] ** 2))
-    d_res_t = np.zeros((count, 2 * shape[-1] ** 2, _DYKSTRA_MEMORY))
     d_tv = np.zeros_like(d_res)
-    eye = np.eye(_DYKSTRA_MEMORY)
     filled = np.zeros(count, dtype=np.int64)
     prev_r = np.full(count, np.inf)
     prev_res = prev_tv = None
     live = np.arange(count)
     for sweep in range(1, _DYKSTRA_ITERATIONS + 1):
-        if live.size == 0:
-            break
         y = _proj_psd(x0 - v)
         vy = v + y
         x_pt = _proj_pt_psd(vy, dims)
@@ -468,7 +463,6 @@ def _dykstra(
             exit_gap = exit_gap[keep]
             # The histories are copied one at a time, which bounds the peak.
             d_res = d_res[keep]
-            d_res_t = d_res_t[keep]
             d_tv = d_tv[keep]
             filled, prev_r = filled[keep], prev_r[keep]
             if prev_res is not None:
@@ -479,7 +473,6 @@ def _dykstra(
             slot = filled % _DYKSTRA_MEMORY
             diff = res - prev_res
             d_res[rows, slot] = diff
-            d_res_t[rows, :, slot] = diff
             d_tv[rows, slot] = tv_vec - prev_tv
             filled += 1
         # A matrix whose gap grew drops its whole history, the differences
@@ -488,17 +481,16 @@ def _dykstra(
         if grew.any():
             filled[grew] = 0
             d_res[grew] = 0.0
-            d_res_t[grew] = 0.0
             d_tv[grew] = 0.0
-        gram = d_res @ d_res_t
-        ridge = 1e-12 * np.trace(gram, axis1=1, axis2=2)
+        gram = d_res @ d_res.swapaxes(1, 2)
+        # A view of each G's diagonal, which takes the ridge in place.
+        diagonal = gram.reshape(live.size, -1)[:, :: _DYKSTRA_MEMORY + 1]
+        ridge = 1e-12 * diagonal.sum(axis=1)
         # An empty history has G = 0 and A res = 0; any positive ridge
         # then gives gamma = 0.
         ridge[ridge == 0.0] = 1.0
-        gamma = np.linalg.solve(
-            gram + ridge[:, np.newaxis, np.newaxis] * eye,
-            d_res @ res[:, :, np.newaxis],
-        )
+        diagonal += ridge[:, np.newaxis]
+        gamma = np.linalg.solve(gram, d_res @ res[:, :, np.newaxis])
         v_vec = tv_vec - (gamma.swapaxes(1, 2) @ d_tv)[:, 0]
         v = v_vec.view(np.complex128).reshape(x0.shape)
         prev_res, prev_tv, prev_r = res, tv_vec, r

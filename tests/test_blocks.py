@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entanglecone import blocks
@@ -19,6 +19,7 @@ from entanglecone.blocks import (
 from entanglecone.duality import (
     BipartiteState,
     HolevoForm,
+    MatrixMap,
     apply_map,
     choi_from_action,
     holevo_to_map,
@@ -437,18 +438,74 @@ def test_abelian_decompose_coarse_block_range():
     assert abs(projections[1] - 2.0) < 1e-9
 
 
-def test_refine_clusters_splits_a_degenerate_cluster():
-    # Neither image is a scalar on the whole space, so the cluster is
-    # split along a random combination, diag(c1, c1 + c2, c2) in u's basis.
+def _reconstruction_error(f, form):
+    """Largest relative error of phi(h) = sum_r Tr(omega_r h) p_r over the
+    Hermitian basis; both sides are linear in h."""
+    worst = 0.0
+    for h in hermitian_basis(f.dim_in):
+        fh = apply_map(f, h)
+        rebuilt = sum(np.trace(w @ h).real * p for w, p in form.terms)
+        worst = max(worst, frob(rebuilt - fh) / max(1.0, frob(fh)))
+    return worst
+
+
+def test_abelian_decompose_refines_with_each_image():
+    # The range holds g1 = u diag(1, 1, 0) u* and g2 = u diag(0, 1, 1) u*,
+    # the images of e11 and e22. Neither separates u's three columns
+    # alone: g1 leaves a rank-two block that only g2 splits.
     u = random_unitary(derive_stream(509, 0), 3)
-    images = [u @ np.diag(d) @ u.conj().T for d in ([1.0, 1.0, 0.0], [0.0, 1.0, 1.0])]
-    out = blocks._refine_clusters([np.eye(3, dtype=complex)], images, 1, 0)
-    assert [b.shape for b in out] == [(3, 1)] * 3
-    basis = np.hstack(out)
-    assert frob(basis.conj().T @ basis - np.eye(3)) < 1e-10
-    for g in images:
-        compressed = basis.conj().T @ g @ basis
-        assert frob(compressed - np.diag(np.diag(compressed))) < 1e-10
+    g1, g2 = (u @ np.diag(d) @ u.conj().T for d in ([1.0, 1.0, 0.0], [0.0, 1.0, 1.0]))
+    f = choi_from_action(3, 3, lambda x: x[0, 0] * g1 + x[1, 1] * g2)
+    form = abelian_range_decompose(f)
+    assert isinstance(form, HolevoForm)
+    assert [round(np.trace(p).real) for _, p in form.terms] == [1, 1, 1]
+    total = sum(p for _, p in form.terms)
+    assert frob(total - np.eye(3)) < 1e-10
+    for g in (g1, g2):
+        for _, p in form.terms:
+            assert frob(g @ p - p @ g) < 1e-10
+    assert _reconstruction_error(f, form) < 1e-9
+
+
+def _block_expectation(u, sizes):
+    """x -> sum_r Tr(p_r x) / rank_r p_r for the projections p_r onto
+    consecutive blocks of u's columns, of the given sizes."""
+    bounds = np.cumsum([0, *sizes])
+    projections = [
+        u[:, lo:hi] @ u[:, lo:hi].conj().T for lo, hi in zip(bounds, bounds[1:])
+    ]
+    n = u.shape[0]
+    return choi_from_action(
+        n, n, lambda x: sum(np.trace(p @ x) / np.trace(p).real * p for p in projections)
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    cuts=st.sets(st.integers(1, 4)),
+    perturb=st.booleans(),
+)
+@example(n=4, seed=0, cuts=set(), perturb=True)
+def test_conditional_expectations_onto_abelian_ranges(n, seed, cuts, perturb):
+    # A random partition of n, from the cut points below n, planted in a
+    # random unitary's columns; the perturbation is 1e-11 in Frobenius.
+    # With no cuts the range is the scalars, and the perturbed images
+    # stay one block: within 1e-8 of a scalar, they split nothing.
+    bounds = [0, *sorted(c for c in cuts if c < n), n]
+    sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    stream = derive_stream(seed, n)
+    f = _block_expectation(random_unitary(stream, n), sizes)
+    if perturb:
+        h = random_hermitian(stream, n * n)
+        f = MatrixMap(n, n, f.choi + 1e-11 * h / frob(h))
+    report = conditional_expectation_verdict(f)
+    assert report.verdict == "separable"
+    ranks = sorted(round(np.trace(p).real) for _, p in report.certificate.terms)
+    assert ranks == sorted(sizes)
+    assert _reconstruction_error(f, report.certificate) < 1e-9
+    assert isinstance(abelian_range_decompose(identity_map(n)), NotAbelian)
 
 
 def test_conditional_expectation_separable_with_certificate():

@@ -195,6 +195,27 @@ def test_classify_choi3():
     assert report.eb_verdict == "not-applicable"
 
 
+def _generalized_choi(a, b, c):
+    """Phi[a,b,c](x) = diag(W diag(x)) - x, W circulant with first row
+    (a, b, c); Phi[2,0,1] is choi3. Not positive once a + b + c < 3."""
+    w = np.array([[a, b, c], [c, a, b], [b, c, a]])
+    return choi_from_action(3, 3, lambda x: np.diag(w @ np.diag(x)) - x)
+
+
+@pytest.mark.parametrize("abc", [(1.2, 0.8, 0.7), (1.0, 0.5, 1.0)])
+def test_classify_clearly_nonpositive_generalized_choi(abc):
+    assert frob(_generalized_choi(2.0, 0.0, 1.0).choi - builtin_choi_map().choi) == 0.0
+    f = _generalized_choi(*abc)
+    report = classify_map(f, _FAST, seed=0)
+    assert report.positive_verdict == "certified-nonpositive"
+    assert not report.cp and report.eb_verdict == "not-applicable"
+    assert report.block_converged
+    # The reported vectors are the certificate: x (x) y has that value.
+    value = verify_block_value(f, report.block_x, report.block_y)
+    assert value < 0.0
+    assert abs(value - report.block_min) <= 1e-9
+
+
 def test_classify_holevo_is_separable_choi():
     e11 = np.diag([1.0, 0.0]).astype(complex)
     e22 = np.diag([0.0, 1.0]).astype(complex)

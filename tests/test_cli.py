@@ -13,11 +13,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from entanglecone.classify import builtin_choi_map
 from entanglecone.cli import main
-from entanglecone.duality import maximally_entangled_matrix
-from entanglecone.linalg import frob
+from entanglecone.duality import (
+    HolevoForm,
+    apply_to_second,
+    holevo_to_map,
+    maximally_entangled_matrix,
+)
+from entanglecone.linalg import frob, partial_transpose
 from entanglecone.serialize import (
     dumps,
+    holevo_terms_from_json,
+    holevo_terms_to_json,
     map_from_json,
     matrix_from_json,
     matrix_to_json,
@@ -26,7 +34,7 @@ from entanglecone.serialize import (
 )
 from entanglecone.blocks import SeparableEnsemble
 from entanglecone.duality import BipartiteState
-from reference import ensemble_to_json
+from reference import derive_stream, ensemble_to_json, random_density
 
 _REDUCED = ["--budget-restarts", "2", "--budget-iters", "30"]
 
@@ -67,6 +75,37 @@ def test_choi_text_format(capsys):
     lines = dict(line.split(": ", 1) for line in out.strip().splitlines())
     assert lines["repr"] == "choi"
     assert lines["choi"] == "matrix 4x4"
+
+
+def test_choi_text_format_out_file_holds_json(tmp_path, capsys):
+    out_path = tmp_path / "choi.json"
+    argv = ["choi", "builtin:identity2", "--format", "text", "--out", str(out_path)]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    lines = dict(line.split(": ", 1) for line in out.strip().splitlines())
+    assert lines["choi"] == "matrix 4x4"
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    assert doc["repr"] == "choi"
+    assert frob(map_from_json(doc).choi - maximally_entangled_matrix(2)) == 0.0
+
+
+def test_classify_holevo_document_is_certified_separable(tmp_path, capsys):
+    stream = derive_stream(520, 0)
+    form = HolevoForm(
+        tuple((random_density(stream, 2), random_density(stream, 3)) for _ in range(2))
+    )
+    doc = {"dim_in": 2, "dim_out": 3, "repr": "holevo"}
+    doc["holevo"] = holevo_terms_to_json(form)
+    path = _write(tmp_path / "map.json", doc)
+    code, out = _run(capsys, ["classify-map", path, *_REDUCED])
+    assert code == 0
+    report = json.loads(out)
+    assert report["cp"] is True
+    assert report["eb_verdict"] == "certified-separable-choi"
+    # The certificate is the document's own terms: it rebuilds the Choi matrix.
+    rebuilt = holevo_to_map(holevo_terms_from_json(report["eb_certificate"]))
+    choi = holevo_to_map(form).choi
+    assert frob(rebuilt.choi - choi) <= 1e-12 * frob(choi)
 
 
 def test_classify_transpose(capsys):
@@ -300,6 +339,48 @@ def test_search_finds_state_quickly(capsys):
     assert code in (0, 4)
     state = state_document_from_json(doc["state"])
     assert state.dims == (3, 3)
+
+
+def _check_search_state(doc) -> None:
+    """The reported state is a density and PPT within 1e-9, and its
+    reported violation is -lambda_min of the choi3 output within 1e-6."""
+    state = state_document_from_json(doc["state"])
+    rho = state.density
+    assert abs(np.trace(rho).real - 1.0) <= 1e-9
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-9
+    assert np.linalg.eigvalsh(partial_transpose(rho, state.dims, "second"))[0] >= -1e-9
+    out = apply_to_second(rho, state.dims, builtin_choi_map())
+    assert abs(-np.linalg.eigvalsh(out)[0] - doc["violation"]) <= 1e-6
+
+
+def test_search_two_restarts_converge(capsys):
+    argv = [
+        "search-ppt-entangled", "choi3",
+        "--seed", "1", "--budget-restarts", "2", "--budget-iters", "200",
+    ]
+    code, out = _run(capsys, argv)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["violation"] >= 1e-3
+    assert doc["converged"] is True
+    _check_search_state(doc)
+
+
+def test_search_capped_exact_finish_keeps_its_certificate(capsys, caplog):
+    # The winner's exact finish reaches the Dykstra cap (about 1e-7 short
+    # of its gap); the polish and the checked solver must still report a
+    # feasible state and its true violation.
+    argv = [
+        "search-ppt-entangled", "choi3",
+        "--seed", "1145069700", "--budget-restarts", "8", "--budget-iters", "1",
+    ]
+    with caplog.at_level(logging.WARNING, logger="entanglecone.states"):
+        code, out = _run(capsys, argv)
+    caps = [r for r in caplog.records if "stopped at its cap" in r.getMessage()]
+    assert len(caps) == 1
+    assert "in 1 of 1 matrices" in caps[0].getMessage()
+    assert code == 4
+    _check_search_state(json.loads(out))
 
 
 def test_search_debug_summary_leaves_stdout_unchanged(capsys, caplog):

@@ -9,7 +9,6 @@ from entanglecone.rng import (
     complex_unit_vectors,
     gaussian_complex_matrix,
     gaussian_vectors,
-    random_hermitian,
     random_unitary,
     stream_words,
 )
@@ -84,11 +83,6 @@ def test_random_density_is_state():
         assert np.linalg.eigvalsh(rho)[0] > -1e-14
 
 
-def test_random_hermitian_is_hermitian():
-    x = random_hermitian(stream_words(17, [0, 1]), 5)
-    assert np.max(np.abs(x - x.conj().swapaxes(-1, -2))) == 0.0
-
-
 def test_gaussian_complex_matrix_shape_and_scale():
     m = gaussian_complex_matrix(stream_words(23, [0]), 100, 100)
     assert m.shape == (1, 100, 100)
@@ -128,7 +122,6 @@ _DRAWS = {
         st.tuples(_SIDE, _SIDE),
     ),
     "unitary": (random_unitary, reference.random_unitary, st.tuples(_SIDE)),
-    "hermitian": (random_hermitian, reference.random_hermitian, st.tuples(_SIDE)),
 }
 
 
