@@ -327,7 +327,9 @@ class WitnessLibrary:
 def default_witness_library(m: int) -> WitnessLibrary:
     """Positive maps with input dimension m.
 
-    Always contains the identity and the transpose. For m = 3 it adds
+    Always starts with identity{m} and transpose{m}, in that order: the
+    state battery reads their outputs as its density check and its PPT
+    verdict. For m = 3 it adds
     the builtin witness map, its transpose conjugate, a composition
     with the transpose, and two unitary twists a phi(b x b*) a*, which
     stay positive and widen the set of detectable states. Every entry

@@ -8,7 +8,6 @@ a nondecomposable witness, the interesting corner of the theory.
 """
 from __future__ import annotations
 
-import functools
 import logging
 import time
 from dataclasses import dataclass
@@ -20,10 +19,8 @@ from .duality import (
     BipartiteState,
     MatrixMap,
     apply_to_second,
-    kraus_to_map,
     map_adjoint,
     map_from_state,
-    post_transpose,
 )
 from .errors import DimensionError, DomainError, NumericalError
 from .linalg import (
@@ -39,13 +36,7 @@ from .linalg import (
     psd_verdicts,
     transpose_second,
 )
-from .rng import (
-    gaussian_complex_matrix,
-    gaussians,
-    next_floats,
-    stream_words,
-    unit_rows,
-)
+from .rng import gaussians, next_floats, stream_words, unit_rows
 
 logger = logging.getLogger(__name__)
 
@@ -53,9 +44,6 @@ CERTIFIED_ENTANGLED = "certified-entangled"
 CERTIFIED_SEPARABLE = "certified-separable"
 INCONCLUSIVE = "inconclusive"
 
-# Internal stream label and count of the random copositive cross-check maps.
-_PPT_CROSSCHECK_SEED = 0x9D7C
-_PPT_CROSSCHECK_SAMPLES = 20
 # Number of pure products mixed into each search starting point.
 _INIT_PRODUCT_TERMS = 4
 _INIT_INTERIOR_WEIGHT = 0.1
@@ -87,35 +75,11 @@ _POLISH_ROUNDS = 200
 SEARCH_BUDGET = Budget(restarts=16, iterations=200)
 
 
-def _ppt_spectra(
-    s: BipartiteState, tol: Tolerances
-) -> tuple[bool, float, np.ndarray]:
-    """The second-factor partial transpose's verdict, least eigenvalue
-    and matching eigenvector, from one spectrum."""
-    ok, low, vec = psd_verdicts(partial_transpose(s.density, s.dims, "second"), tol)
-    return bool(ok), float(low), vec
-
-
 def _copositive_dual(s: BipartiteState, tol: Tolerances) -> bool:
     """The first-factor partial transpose's verdict. That array is, entry
     for entry, the second-factor partial transpose of the global
     transpose of the density: the copositivity test of the dual map."""
     return is_psd(partial_transpose(s.density, s.dims, "first"), tol)[0]
-
-
-@functools.lru_cache(maxsize=8)
-def _crosscheck_maps(m: int) -> np.ndarray:
-    """Choi tensors of random copositive maps on M_m, fixed by
-    _PPT_CROSSCHECK_SEED, stacked as (samples, m, m, m, m) and read-only."""
-    # Each map's two Kraus operators come from its own stream, in turn.
-    words = stream_words(_PPT_CROSSCHECK_SEED, range(_PPT_CROSSCHECK_SAMPLES))
-    first = gaussian_complex_matrix(words, m, m)
-    second = gaussian_complex_matrix(words, m, m)
-    stacked = np.stack(
-        [post_transpose(kraus_to_map([a, b])).choi4() for a, b in zip(first, second)]
-    )
-    stacked.flags.writeable = False
-    return stacked
 
 
 def _second_factor_verdicts(
@@ -130,36 +94,27 @@ def _second_factor_verdicts(
     return psd_verdicts(hermitian_part(out.reshape(len(choi4), n * p, n * p)), tol)
 
 
-def _crosscheck_ppt(
-    s: BipartiteState, ok: bool, ok_first: bool, tol: Tolerances
-) -> None:
+def _crosscheck_ppt(ok: bool, ok_first: bool) -> None:
     if ok != ok_first:
         raise NumericalError(
             "partial transposes on the two factors disagree about positivity"
-        )
-    # Each output of a random copositive map is held to its own PSD slack.
-    if ok and not _second_factor_verdicts(s, _crosscheck_maps(s.dims[1]), tol)[0].all():
-        raise NumericalError(
-            "a random copositive map produced a negative output "
-            "on a state that passed the partial-transpose test"
         )
 
 
 def ppt_check(
     s: BipartiteState, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, np.ndarray | None]:
-    """Partial-transpose test with two independent cross-checks.
+    """Partial-transpose test with a cross-check on the other factor.
 
-    The verdict comes from the spectrum of the second-factor partial
-    transpose. The first-factor partial transpose must give the same
-    verdict (the two are transposes of each other), and when the
-    verdict is positive, applying random copositive maps to the second
-    factor must give PSD outputs. Either cross-check failing raises
-    NumericalError, since both are theorems.
+    Returns ``(True, None)`` when the second-factor partial transpose is
+    PSD within tol's slack, otherwise ``(False, v)`` with v its least
+    eigenvector. The first-factor partial transpose must give the same
+    verdict, since the two are transposes of each other; a disagreement
+    raises NumericalError.
     """
-    ok, _, vec = _ppt_spectra(s, tol)
-    _crosscheck_ppt(s, ok, _copositive_dual(s, tol), tol)
-    return ok, None if ok else vec
+    ok, witness = is_psd(partial_transpose(s.density, s.dims, "second"), tol)
+    _crosscheck_ppt(ok, _copositive_dual(s, tol))
+    return ok, witness
 
 
 @dataclass(eq=False)
@@ -194,34 +149,40 @@ def witness_battery(
 ) -> StateReport:
     """Apply default_witness_library to the second factor; collect verdicts.
 
+    All library outputs come from one stacked spectrum. Its first two
+    entries give the checks every state needs: the identity's output is
+    the density itself, which must be PSD within tol's slack or
+    DomainError is raised, and the transpose's output is the
+    second-factor partial transpose, whose verdict, least eigenvalue
+    and eigenvector are the report's PPT fields. So a state that is not
+    PPT is always caught, by the transpose entry at least.
+
     A separable certificate attached by the caller (states built from
     an explicit product ensemble) turns the verdict into
     certified-separable; such a state hitting any witness means a bug,
-    not a result, and raises NumericalError. A density that is not PSD
-    within tol's slack raises DomainError.
+    not a result, and raises NumericalError. The first-factor partial
+    transpose must agree with the PPT verdict, as in ppt_check.
 
     ``dual_verdicts`` are is_cp and is_copositive at tol of the dual map
     map_from_state(s), for a caller that has already taken them;
     otherwise the battery takes them from the state.
     """
+    entries = default_witness_library(s.dims[1]).entries
+    choi4 = np.stack([psi.choi4() for _, psi in entries])
+    ok, low, vec = _second_factor_verdicts(s, choi4, tol)
     # BipartiteState checked PSD at the default slack; the hits below use
     # tol's, so a density that dips below that slack is no state.
-    if tol != DEFAULT_TOL and not is_psd(s.density, tol)[0]:
+    if not ok[0]:
         raise DomainError("state density is not PSD within tolerance")
-    ppt, ppt_eig, ppt_vec = _ppt_spectra(s, tol)
+    ppt = bool(ok[1])
     if dual_verdicts is None:
         dual_verdicts = is_cp(map_from_state(s), tol)[0], _copositive_dual(s, tol)
     cp_dual, copositive_dual = dual_verdicts
-    _crosscheck_ppt(s, ppt, copositive_dual, tol)
-    ppt_witness = None if ppt else ppt_vec
-
-    entries = default_witness_library(s.dims[1]).entries
-    choi4 = np.stack([psi.choi4() for _, psi in entries])
-    verdicts = _second_factor_verdicts(s, choi4, tol)
+    _crosscheck_ppt(ppt, copositive_dual)
     hits = [
-        WitnessHit(name, float(low), vec)
-        for (name, _), ok, low, vec in zip(entries, *verdicts)
-        if not ok
+        WitnessHit(name, float(value), vector)
+        for (name, _), passed, value, vector in zip(entries, ok, low, vec)
+        if not passed
     ]
 
     if separable_certificate and hits:
@@ -238,12 +199,6 @@ def witness_battery(
         cert_name = hits[0].name
         cert_vec = hits[0].eigenvector
         cert_val = hits[0].eigenvalue
-    elif not ppt:
-        # No library map caught it, but the partial transpose itself did.
-        verdict = CERTIFIED_ENTANGLED
-        cert_name = "partial-transpose"
-        cert_vec = ppt_witness
-        cert_val = float(ppt_eig)
     else:
         verdict = INCONCLUSIVE
         cert_name, cert_vec, cert_val = None, None, None
@@ -252,8 +207,8 @@ def witness_battery(
         dims=s.dims,
         mass=s.mass,
         ppt=ppt,
-        ppt_witness=ppt_witness,
-        ppt_min_eigenvalue=float(ppt_eig),
+        ppt_witness=None if ppt else vec[1],
+        ppt_min_eigenvalue=float(low[1]),
         entanglement=verdict,
         certificate_name=cert_name,
         certificate_vector=cert_vec,
@@ -285,7 +240,7 @@ def peres_equivalence(s: BipartiteState, tol: Tolerances = DEFAULT_TOL) -> bool:
     positivity plus copositivity of the dual map. Always true
     mathematically; a False return is a bug detector.
     """
-    ok, _, _ = _ppt_spectra(s, tol)
+    ok, _ = is_psd(partial_transpose(s.density, s.dims, "second"), tol)
     cp_dual, _ = is_cp(map_from_state(s), tol)
     return ok == (cp_dual and _copositive_dual(s, tol))
 

@@ -414,6 +414,21 @@ def test_abelian_decompose_diag_expectation():
         assert frob(rebuilt - apply_map(f, x)) < 1e-9
 
 
+@pytest.mark.parametrize("scale", [1.0 + 1e-6, 0.5])
+def test_spectral_resolution_fault_raises(monkeypatch, scale):
+    # A scaled adjoint scales every omega_r, so the certificate rebuilds
+    # scale * phi: the Choi check must reject it, through either caller.
+    real = blocks.map_adjoint
+    monkeypatch.setattr(
+        blocks,
+        "map_adjoint",
+        lambda f: MatrixMap(f.dim_out, f.dim_in, scale * real(f).choi),
+    )
+    for decide in (abelian_range_decompose, conditional_expectation_verdict):
+        with pytest.raises(NumericalError, match="does not reproduce the map"):
+            decide(_diag_expectation(3))
+
+
 def test_abelian_decompose_identity_is_not_abelian():
     result = abelian_range_decompose(identity_map(2))
     assert isinstance(result, NotAbelian)

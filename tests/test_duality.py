@@ -223,12 +223,13 @@ def test_state_from_map_one_spectrum_and_tolerances(eigh_inputs):
         state_from_map(dip, Tolerances(psd_slack=1e-12))
     assert getattr(info.value, "witness", None) is not None
 
-    # classify_map on a CP map takes the state density's spectrum once per
-    # tolerance, plus once as the identity witness of the battery.
+    # classify_map on a CP map takes the state density's spectrum once at
+    # the default slack, as the state is built, and once as the battery's
+    # identity witness, which is also its density check at tol.
     g, _ = _random_kraus_map(derive_stream(213, 0), 3, 3)
     density = g.choi.T
     budget = Budget(restarts=2, iterations=20)
-    for tol, count in ((DEFAULT_TOL, 2), (Tolerances(psd_slack=1e-10), 3)):
+    for tol, count in ((DEFAULT_TOL, 2), (Tolerances(psd_slack=1e-10), 2)):
         classify_map(g, budget, tol=tol)
         eigh_inputs.clear()
         classify_map(g, budget, tol=tol)

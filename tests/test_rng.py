@@ -2,9 +2,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entanglecone import classify, states
+from entanglecone import classify
 from entanglecone.classify import builtin_choi_map, default_witness_library
-from entanglecone.duality import compose, kraus_to_map, post_transpose
+from entanglecone.duality import compose, kraus_to_map
 from entanglecone.rng import (
     complex_unit_vectors,
     gaussian_complex_matrix,
@@ -159,8 +159,8 @@ def test_array_draws_match_the_scalar_streams(seed, indices, draws):
 
 
 def test_set_up_draws_match_the_oracle():
-    # The witness library's twists and the PPT cross-check maps, each
-    # built again from the scalar streams, byte for byte.
+    # The witness library's twists, built again from the scalar streams,
+    # byte for byte.
     base = builtin_choi_map()
     twists = []
     for k in (1, 2):
@@ -171,10 +171,3 @@ def test_set_up_draws_match_the_oracle():
     library = dict(default_witness_library(3).entries)
     for k, want in zip((1, 2), twists):
         assert library[f"choi3-twist{k}"].choi.tobytes() == want.choi.tobytes()
-    for m in range(1, 5):
-        want = []
-        for k in range(states._PPT_CROSSCHECK_SAMPLES):
-            stream = derive_stream(states._PPT_CROSSCHECK_SEED, k)
-            ops = [reference.gaussian_complex_matrix(stream, m, m) for _ in range(2)]
-            want.append(post_transpose(kraus_to_map(ops)).choi4())
-        assert states._crosscheck_maps(m).tobytes() == np.stack(want).tobytes()

@@ -1,0 +1,91 @@
+"""Digest the CLI's stdout and exit codes over a prefix of the bench jobs.
+
+Runs the first 100 ``search``, 200 ``classify`` and 400 ``states`` jobs
+of bench seed 7 from ``bench/jobs.py`` in-process through
+``entanglecone.cli.main``, against the package found in ``--src``, and
+prints one line per workload:
+
+    <workload> <jobs> <sha256 of every job's exit code and stdout>
+
+Two trees print the same lines exactly when they give every job the
+same exit code and byte-identical stdout. Run from any directory:
+
+    python tools/stdout_digest.py --src src
+    python tools/stdout_digest.py --src /path/to/other/checkout/src
+
+The job lists come from this checkout's ``bench/jobs.py`` for both
+trees, so the comparison holds the inputs fixed.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PREFIX = {"search": 100, "classify": 200, "states": 400}
+SEED = 7
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--src", required=True, type=Path,
+        help="directory holding the entanglecone package to run",
+    )
+    return parser.parse_args(argv)
+
+
+def _import_cli(src: Path):
+    """entanglecone.cli from src, or exit if another copy would load."""
+    src = src.resolve()
+    if not (src / "entanglecone" / "__init__.py").is_file():
+        raise SystemExit(f"error: no entanglecone package in {src}")
+    sys.path.insert(0, str(src))
+    from entanglecone import cli
+
+    if src not in Path(cli.__file__).resolve().parents:
+        raise SystemExit(f"error: imported entanglecone from {cli.__file__}")
+    return cli
+
+
+def digest(cli, jobs, workload: str, count: int, path: Path) -> str:
+    """sha256 over each job's exit code line and stdout, in job order."""
+    h = hashlib.sha256()
+    for k in range(count):
+        job = jobs.make_job(workload, SEED, k)
+        if job.doc is not None:
+            path.write_text(job.doc)
+        argv = [str(path) if a == jobs.INPUT else a for a in job.argv]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # a crash is part of the behaviour compared
+                code = f"raised {type(exc).__name__}"
+        h.update(f"{code}\n".encode())
+        h.update(out.getvalue().encode())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    cli = _import_cli(args.src)
+    sys.path.insert(0, str(ROOT / "bench"))
+    import jobs
+
+    with tempfile.TemporaryDirectory() as tmp:
+        # One fixed file name, so no path differs between two runs.
+        path = Path(tmp) / "input.json"
+        for workload, count in PREFIX.items():
+            value = digest(cli, jobs, workload, count, path)
+            print(f"{workload} {count} {value}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
