@@ -356,14 +356,18 @@ def abelian_range_decompose(
     rebuild the map's within 1e-9 relative, or NumericalError is raised.
     """
     basis = hermitian_basis(f.dim_in)
-    images = [hermitian_part(apply_map(f, h)) for h in basis]
+    images = np.stack([hermitian_part(apply_map(f, h)) for h in basis])
+    scale = np.linalg.norm(images, axis=(-2, -1))
 
-    for k in range(len(images)):
-        for l in range(k + 1, len(images)):
-            comm = images[k] @ images[l] - images[l] @ images[k]
-            norm = frob(comm)
-            if norm > CONVERGENCE * max(1.0, frob(images[k]) * frob(images[l])):
-                return NotAbelian((k, l), norm)
+    # Row k holds the pairs (k, l > k); the first failing row and its first
+    # failing column give the first pair in row-major order.
+    for k in range(len(images) - 1):
+        rest = images[k + 1:]
+        norm = np.linalg.norm(images[k] @ rest - rest @ images[k], axis=(-2, -1))
+        bound = CONVERGENCE * np.maximum(1.0, scale[k] * scale[k + 1:])
+        bad = np.flatnonzero(norm > bound)
+        if bad.size:
+            return NotAbelian((k, k + 1 + int(bad[0])), float(norm[bad[0]]))
 
     blocks = [np.eye(f.dim_out, dtype=np.complex128)]
     for g in images:

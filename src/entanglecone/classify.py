@@ -14,7 +14,7 @@ import functools
 import logging
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -318,9 +318,27 @@ def builtin_choi_map() -> MatrixMap:
 
 @dataclass(eq=False)
 class WitnessLibrary:
-    """Named positive maps applied as id (x) psi in the state battery."""
+    """Named positive maps applied as id (x) psi in the state battery.
+
+    ``choi4`` stacks the Choi tensors of the distinct maps, read-only,
+    and ``rows[i]`` is the row of entry i in it: entries whose Choi
+    matrices are equal bit for bit share one row, so the battery
+    evaluates and diagonalises each distinct map once.
+    """
 
     entries: tuple[tuple[str, MatrixMap], ...]
+    choi4: np.ndarray = field(init=False)
+    rows: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        index: dict[bytes, int] = {}
+        self.rows = np.array(
+            [index.setdefault(f.choi.tobytes(), len(index)) for _, f in self.entries]
+        )
+        # Rows are numbered in order of first appearance.
+        first = np.unique(self.rows, return_index=True)[1]
+        self.choi4 = np.stack([self.entries[i][1].choi4() for i in first])
+        self.rows.flags.writeable = self.choi4.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=8)

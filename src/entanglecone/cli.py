@@ -1,14 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 parse error, 3 numerical or
-domain error, 4 search finished without finding a state. Reports go to
-stdout; logging and diagnostics go to stderr so stdout stays byte
-deterministic for fixed inputs, seed and budget.
+Exit codes: 0 success, 1 usage error or stdout closed by its reader,
+2 parse error, 3 numerical or domain error, 4 search finished without
+finding a state. Reports go to stdout; logging and diagnostics go to
+stderr so stdout stays byte deterministic for fixed inputs, seed and
+budget.
 """
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 from .blocks import SeparableEnsemble, decompose_separable
@@ -245,7 +247,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         _tolerances(args)  # reject out-of-range --tol-psd uniformly
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # a closed reader surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does. What is still
+        # buffered goes to the null device, so the flush at exit cannot
+        # fail again; 1 is the exit code Python itself gives on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

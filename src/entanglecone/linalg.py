@@ -165,7 +165,13 @@ def hermitian_eigen(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     CONVERGENCE and NumericalError when the residual check fails
     afterwards; each matrix is measured against its own norm.
     """
-    a = as_matrix(x, stacked=True)
+    w, v, _ = _checked_eigen(as_matrix(x, stacked=True))
+    return w, v
+
+
+def _checked_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """hermitian_eigen of an operand as_matrix has accepted, with the
+    Frobenius norm of each matrix, taken once for every check and floor."""
     norm = np.linalg.norm(a, axis=(-2, -1))
     if (hermitian_deviation(a) > CONVERGENCE * norm).any():
         raise DomainError("matrix is not Hermitian within tolerance")
@@ -180,13 +186,17 @@ def hermitian_eigen(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(
             f"eigendecomposition residual {np.max(residual):.3e} exceeds tolerance"
         )
-    return w, v
+    return w, v, norm
+
+
+def _floor(norm: float | np.ndarray, tol: Tolerances) -> float | np.ndarray:
+    return -tol.psd_slack * np.maximum(1.0, norm)
 
 
 def psd_floor(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float | np.ndarray:
     """-psd_slack * max(1, ||x||_F), per matrix for a stack: the least
     eigenvalue that still counts as positive semidefinite."""
-    return -tol.psd_slack * np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1)))
+    return _floor(np.linalg.norm(x, axis=(-2, -1)), tol)
 
 
 def psd_verdicts(
@@ -195,10 +205,15 @@ def psd_verdicts(
     """Per matrix of x, one matrix or a stack ``(..., k, k)``: whether
     its least eigenvalue clears psd_floor, that eigenvalue and its unit
     eigenvector, all from one checked hermitian_eigen call."""
-    a = as_matrix(x, stacked=True)
-    w, v = hermitian_eigen(a)
+    return _verdicts(as_matrix(x, stacked=True), tol)
+
+
+def _verdicts(
+    a: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    w, v, norm = _checked_eigen(a)
     low = w[..., -1]
-    return low >= psd_floor(a, tol), low, v[..., -1]
+    return low >= _floor(norm, tol), low, v[..., -1]
 
 
 def is_psd(
@@ -210,7 +225,7 @@ def is_psd(
     psd_floor, otherwise ``(False, v)`` where the unit vector ``v``
     satisfies ``<v, x v> < 0`` beyond slack.
     """
-    ok, _, vec = psd_verdicts(as_matrix(x), tol)
+    ok, _, vec = _verdicts(as_matrix(x), tol)
     return (True, None) if ok else (False, vec)
 
 
@@ -235,8 +250,8 @@ def support_projection(
     spectrum, each measured against its own norm.
     """
     a = as_matrix(x, stacked=True)
-    w, v = hermitian_eigen(a)
-    floor = psd_floor(a, tol)
+    w, v, norm = _checked_eigen(a)
+    floor = _floor(norm, tol)
     if (w[..., -1] < floor).any():
         raise DomainError("support projection requires a PSD matrix")
     # Eigenvalues descend, so each kept set is a leading block of columns.

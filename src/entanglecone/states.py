@@ -82,16 +82,13 @@ def _copositive_dual(s: BipartiteState, tol: Tolerances) -> bool:
     return is_psd(partial_transpose(s.density, s.dims, "first"), tol)[0]
 
 
-def _second_factor_verdicts(
-    s: BipartiteState, choi4: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psd_verdicts of the Hermitian part of (id (x) phi)(rho) for every map
-    phi of a stack of Choi tensors (L, m, p, m, p), as apply_to_second
-    evaluates one, from one stacked spectrum."""
+def _second_factor_outputs(s: BipartiteState, choi4: np.ndarray) -> np.ndarray:
+    """The Hermitian part of (id (x) phi)(rho) for every map phi of a stack
+    of Choi tensors (L, m, p, m, p), each as apply_to_second evaluates it."""
     n, m = s.dims
     out = np.einsum("ikjl,skalb->siajb", s.density.reshape(n, m, n, m), choi4)
     p = choi4.shape[-1]
-    return psd_verdicts(hermitian_part(out.reshape(len(choi4), n * p, n * p)), tol)
+    return hermitian_part(out.reshape(len(choi4), n * p, n * p))
 
 
 def _crosscheck_ppt(ok: bool, ok_first: bool) -> None:
@@ -149,7 +146,10 @@ def witness_battery(
 ) -> StateReport:
     """Apply default_witness_library to the second factor; collect verdicts.
 
-    All library outputs come from one stacked spectrum. Its first two
+    Every check comes from one stacked spectrum: one output per distinct
+    map of the library (entries with equal Choi matrices share it) and,
+    when the caller passes no dual_verdicts, the dual map's Choi matrix
+    and the first-factor partial transpose. The library's first two
     entries give the checks every state needs: the identity's output is
     the density itself, which must be PSD within tol's slack or
     DomainError is raised, and the transpose's output is the
@@ -165,23 +165,30 @@ def witness_battery(
 
     ``dual_verdicts`` are is_cp and is_copositive at tol of the dual map
     map_from_state(s), for a caller that has already taken them;
-    otherwise the battery takes them from the state.
+    otherwise the battery takes them from the state, with the verdicts
+    those two separate calls would give, bit for bit.
     """
-    entries = default_witness_library(s.dims[1]).entries
-    choi4 = np.stack([psi.choi4() for _, psi in entries])
-    ok, low, vec = _second_factor_verdicts(s, choi4, tol)
+    library = default_witness_library(s.dims[1])
+    stack = _second_factor_outputs(s, library.choi4)
+    if dual_verdicts is None:
+        # The dual map's Choi matrix and the first-factor partial
+        # transpose join the same checked spectrum.
+        dual = [map_from_state(s).choi, partial_transpose(s.density, s.dims, "first")]
+        stack = np.concatenate([stack, dual])
+    ok, low, vec = psd_verdicts(stack, tol)
+    if dual_verdicts is None:
+        dual_verdicts = bool(ok[-2]), bool(ok[-1])
+    ok, low, vec = ok[library.rows], low[library.rows], vec[library.rows]
     # BipartiteState checked PSD at the default slack; the hits below use
     # tol's, so a density that dips below that slack is no state.
     if not ok[0]:
         raise DomainError("state density is not PSD within tolerance")
     ppt = bool(ok[1])
-    if dual_verdicts is None:
-        dual_verdicts = is_cp(map_from_state(s), tol)[0], _copositive_dual(s, tol)
     cp_dual, copositive_dual = dual_verdicts
     _crosscheck_ppt(ppt, copositive_dual)
     hits = [
         WitnessHit(name, float(value), vector)
-        for (name, _), passed, value, vector in zip(entries, ok, low, vec)
+        for (name, _), passed, value, vector in zip(library.entries, ok, low, vec)
         if not passed
     ]
 

@@ -4,21 +4,37 @@ The package draws every random number on uint64 arrays (entanglecone.rng).
 This module keeps the scalar SplitMix64 generator that those arrays must
 reproduce bit for bit, with Vigna's published outputs that pin it down,
 and the scalar draws the tests take their inputs from. It also keeps
-second routes to quantities the package computes one way only.
+second routes to quantities the package computes one way only, and the
+one-at-a-time loops that stacked passes of the package must reproduce.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from entanglecone.blocks import hermitian_basis
+from entanglecone.classify import default_witness_library, is_cp
 from entanglecone.duality import (
     BipartiteState,
     MatrixMap,
+    apply_map,
     apply_to_second,
     map_adjoint,
+    map_from_state,
     maximally_entangled_matrix,
 )
-from entanglecone.linalg import hermitian_eigen
+from entanglecone.errors import DomainError, NumericalError
+from entanglecone.linalg import (
+    CONVERGENCE,
+    Tolerances,
+    frob,
+    hermitian_eigen,
+    hermitian_part,
+    is_psd,
+    partial_transpose,
+    psd_verdicts,
+)
 from entanglecone.serialize import matrix_to_json
+from entanglecone.states import StateReport, WitnessHit
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -182,3 +198,56 @@ def ensemble_to_json(ens) -> dict:
             for w, a, b in ens.terms
         ],
     }
+
+
+def first_noncommuting_pair(f: MatrixMap) -> tuple[tuple[int, int], float] | None:
+    """The first pair (k, l), k < l in row-major order, of images of the
+    Hermitian basis whose commutator exceeds the relative bound, with its
+    norm; None when all commute. One pair at a time."""
+    images = [hermitian_part(apply_map(f, h)) for h in hermitian_basis(f.dim_in)]
+    for k in range(len(images)):
+        for l in range(k + 1, len(images)):
+            comm = images[k] @ images[l] - images[l] @ images[k]
+            norm = frob(comm)
+            if norm > CONVERGENCE * max(1.0, frob(images[k]) * frob(images[l])):
+                return (k, l), norm
+    return None
+
+
+def witness_battery_per_call(s: BipartiteState, tol: Tolerances) -> StateReport:
+    """states.witness_battery, without a separable certificate, one checked
+    call per matrix: each library entry's output through apply_to_second
+    and psd_verdicts, then is_cp of the dual map and is_psd of the
+    first-factor partial transpose."""
+    entries = default_witness_library(s.dims[1]).entries
+    verdicts = [
+        psd_verdicts(hermitian_part(apply_to_second(s.density, s.dims, psi)), tol)
+        for _, psi in entries
+    ]
+    if not verdicts[0][0]:
+        raise DomainError("state density is not PSD within tolerance")
+    ppt, ppt_low, ppt_vec = verdicts[1]
+    cp_dual = is_cp(map_from_state(s), tol)[0]
+    copositive_dual = is_psd(partial_transpose(s.density, s.dims, "first"), tol)[0]
+    if ppt != copositive_dual:
+        raise NumericalError(
+            "partial transposes on the two factors disagree about positivity"
+        )
+    hits = tuple(
+        WitnessHit(name, float(low), vec)
+        for (name, _), (ok, low, vec) in zip(entries, verdicts)
+        if not ok
+    )
+    return StateReport(
+        dims=s.dims,
+        mass=s.mass,
+        ppt=bool(ppt),
+        ppt_witness=None if ppt else ppt_vec,
+        ppt_min_eigenvalue=float(ppt_low),
+        entanglement="certified-entangled" if hits else "inconclusive",
+        certificate_name=hits[0].name if hits else None,
+        certificate_vector=hits[0].eigenvector if hits else None,
+        certificate_value=hits[0].eigenvalue if hits else None,
+        hits=hits,
+        peres_crosscheck=ppt == (cp_dual and copositive_dual),
+    )

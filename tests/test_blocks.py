@@ -28,7 +28,13 @@ from entanglecone.duality import (
 )
 from entanglecone.errors import DimensionError, DomainError, NumericalError
 from entanglecone.linalg import frob
-from reference import derive_stream, random_density, random_hermitian, random_unitary
+from reference import (
+    derive_stream,
+    first_noncommuting_pair,
+    random_density,
+    random_hermitian,
+    random_unitary,
+)
 
 _E11_2 = np.diag([1.0, 0.0]).astype(complex)
 _E22_2 = np.diag([0.0, 1.0]).astype(complex)
@@ -493,6 +499,36 @@ def _block_expectation(u, sizes):
     return choi_from_action(
         n, n, lambda x: sum(np.trace(p @ x) / np.trace(p).real * p for p in projections)
     )
+
+
+def _scan_cases(n):
+    """Maps on M_n for the commutator scan: abelian ones, and Schur
+    multipliers keeping the diagonal and one off-diagonal pair (i, j),
+    whose first noncommuting pair moves with (i, j)."""
+    stream = derive_stream(510, n)
+    u = random_unitary(stream, n)
+    yield _block_expectation(u, [1] * n)
+    yield _block_expectation(u, [1, n - 1])
+    yield identity_map(n)
+    yield transpose_map(n)
+    for i, j in itertools.combinations(range(n), 2):
+        mask = np.eye(n)
+        mask[i, j] = mask[j, i] = 1.0
+        yield choi_from_action(n, n, lambda x, mask=mask: mask * x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_commutator_scan_matches_the_pairwise_loop(n):
+    for f in _scan_cases(n):
+        want = first_noncommuting_pair(f)
+        got = abelian_range_decompose(f)
+        if want is None:
+            assert isinstance(got, HolevoForm)
+            continue
+        assert isinstance(got, NotAbelian)
+        assert got.pair == want[0]
+        # The row's norms are summed in another order than frob's.
+        assert abs(got.commutator_norm - want[1]) <= 1e-14 * want[1]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

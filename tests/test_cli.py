@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import logging
+import os
 import subprocess
 import sys
 import tempfile
@@ -321,6 +322,26 @@ def test_console_module_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["repr"] == "choi"
+
+
+@pytest.mark.usefixtures("package_on_pythonpath")
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    # As `entanglecone analyze-state s.json | head -3` once the reader is
+    # gone: the pipe's read end is closed before the report is written.
+    path = _write(tmp_path / "state.json", _entangled_state_doc())
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "entanglecone", "analyze-state", path],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_search_finds_state_quickly(capsys):

@@ -200,8 +200,13 @@ def test_eigen_stack_checks_every_matrix():
     bad = stack.copy()
     bad[0] *= 1e8
     bad[3, 0, 1] += 1e-6
-    with pytest.raises(DomainError):
-        hermitian_eigen(bad)
+    # Each entry point rejects it with the message is_psd gives slice 3 alone.
+    with pytest.raises(DomainError) as alone:
+        is_psd(bad[3])
+    for check in (hermitian_eigen, psd_verdicts):
+        with pytest.raises(DomainError) as stacked:
+            check(bad)
+        assert str(stacked.value) == str(alone.value)
     with pytest.raises(DimensionError):
         hermitian_eigen(np.zeros((4, 3, 2)))
 

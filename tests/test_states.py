@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -20,6 +21,7 @@ from entanglecone.duality import (
     identity_map,
     kraus_to_map,
     map_adjoint,
+    map_from_state,
     maximally_entangled,
     post_transpose,
     state_from_map,
@@ -28,6 +30,7 @@ from entanglecone.duality import (
 from entanglecone.errors import NumericalError
 from entanglecone.linalg import (
     DEFAULT_TOL,
+    Tolerances,
     hermitian_part,
     is_psd,
     kron,
@@ -52,6 +55,7 @@ from reference import (
     random_density,
     random_product_mixture,
     random_pure_mixture,
+    witness_battery_per_call,
 )
 
 
@@ -100,8 +104,16 @@ def test_battery_diagonalises_each_partial_transpose_once(eigh_inputs):
     # A complex state: for a real one the two partial transposes coincide.
     # White noise makes the PPT variant; the spectra are the same either way.
     h = random_pure_mixture(derive_stream(409, 0), 9, 2)
-    for ppt, density in [(False, h), (True, 0.1 * h + 0.9 * np.eye(9) / 9)]:
-        s = BipartiteState((3, 3), density)
+    g = random_pure_mixture(derive_stream(409, 1), 4, 2)
+    # The six distinct library outputs (choi3-tconj has choi3's Choi
+    # matrix), the dual map's Choi matrix and the first-factor partial
+    # transpose; on a 2x2 state the library is identity2 and transpose2.
+    for ppt, dims, density, count in [
+        (False, (3, 3), h, 8),
+        (True, (3, 3), 0.1 * h + 0.9 * np.eye(9) / 9, 8),
+        (False, (2, 2), g, 4),
+    ]:
+        s = BipartiteState(dims, density)
         witness_battery(s)
         eigh_inputs.clear()
         report = witness_battery(s)
@@ -110,18 +122,17 @@ def test_battery_diagonalises_each_partial_transpose_once(eigh_inputs):
         second = hermitian_part(partial_transpose(s.density, s.dims, "second"))
         assert not np.array_equal(first, second)
         assert _equal_count(eigh_inputs, first) == 1
-        # The transpose3 witness gives the PPT verdict too.
+        # The transpose witness gives the PPT verdict too.
         assert _equal_count(eigh_inputs, second) == 1
-        # The seven library outputs as one stack, the dual map's Choi
-        # matrix and the first-factor partial transpose.
-        assert sum(len(a.reshape((-1,) + a.shape[-2:])) for a in eigh_inputs) == 9
+        assert len(eigh_inputs) == 1
+        assert len(eigh_inputs[0]) == count
         assert report.peres_crosscheck
 
 
 def _assert_one_map_at_a_time(s, choi4):
     """The stacked pass over the Choi tensors choi4 equals, bit for bit,
     the verdicts of each map's own apply_to_second output."""
-    stacked = states._second_factor_verdicts(s, choi4, DEFAULT_TOL)
+    stacked = psd_verdicts(states._second_factor_outputs(s, choi4))
     m = s.dims[1]
     for i, c4 in enumerate(choi4):
         psi = MatrixMap(m, m, c4.reshape(m * m, m * m))
@@ -143,6 +154,67 @@ def test_library_pass_equals_one_map_at_a_time(n, m, rank, seed):
     s = BipartiteState((n, m), h)
     entries = default_witness_library(m).entries
     _assert_one_map_at_a_time(s, np.stack([psi.choi4() for _, psi in entries]))
+
+
+def _bits(x):
+    """x with every array and float replaced by its exact bits."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, tuple):
+        return tuple(_bits(y) for y in x)
+    return x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 4),
+    rank=st.integers(1, 3),
+    noise=st.floats(0.0, 1.0),
+    slack=st.sampled_from([DEFAULT_TOL.psd_slack, 1e-10]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, m=3, rank=2, noise=0.0, slack=1e-10, seed=409)
+def test_battery_equals_the_per_call_reference(n, m, rank, noise, slack, seed):
+    # The one stacked spectrum gives the report of one checked call per
+    # matrix, bit for bit, duplicate library maps and dual verdicts included.
+    d = n * m
+    h = random_pure_mixture(derive_stream(seed, 0), d, rank)
+    s = BipartiteState((n, m), (1.0 - noise) * h + noise * np.eye(d) / d)
+    tol = Tolerances(slack)
+    got = witness_battery(s, tol)
+    want = witness_battery_per_call(s, tol)
+    assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(want))
+
+
+@pytest.mark.parametrize("row", ["dual", "first"])
+def test_stacked_residual_fault_raises_as_the_separate_call(monkeypatch, row):
+    # eigh returns a wrong spectrum for one matrix of the stack only: the
+    # dual map's Choi matrix or the first-factor partial transpose. The
+    # battery raises what is_psd on that matrix alone raises (is_cp of
+    # the dual map is is_psd of its Choi matrix).
+    s = BipartiteState((3, 3), random_pure_mixture(derive_stream(411, 0), 9, 2))
+    if row == "dual":
+        target = map_from_state(s).choi
+    else:
+        target = partial_transpose(s.density, s.dims, "first")
+    faulty_input = hermitian_part(target)
+    real = np.linalg.eigh
+
+    def faulty(a, *args, **kwargs):
+        w, v = real(a, *args, **kwargs)
+        w = w.copy()
+        w[np.all(a == faulty_input, axis=(-2, -1))] += 1.0
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", faulty)
+    with pytest.raises(NumericalError, match="residual") as separate:
+        is_psd(target)
+    with pytest.raises(NumericalError) as stacked:
+        witness_battery(s)
+    assert str(stacked.value) == str(separate.value)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

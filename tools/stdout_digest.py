@@ -2,10 +2,14 @@
 
 Runs the first 100 ``search``, 200 ``classify`` and 400 ``states`` jobs
 of bench seed 7 from ``bench/jobs.py`` in-process through
-``entanglecone.cli.main``, against the package found in ``--src``, and
-prints one line per workload:
+``entanglecone.cli.main``, against the package found in ``--src``, then
+the same 400 ``states`` jobs with ``--tol-psd 1e-10``, and prints one
+line per run:
 
-    <workload> <jobs> <sha256 of every job's exit code and stdout>
+    <run> <jobs> <sha256 of every job's exit code and stdout>
+
+where the run is the workload's name, or ``states-tol1e-10`` for the
+last one.
 
 Two trees print the same lines exactly when they give every job the
 same exit code and byte-identical stdout. Run from any directory:
@@ -27,8 +31,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PREFIX = {"search": 100, "classify": 200, "states": 400}
 SEED = 7
+# (run, workload, jobs, arguments appended to every job's command line)
+RUNS = (
+    ("search", "search", 100, []),
+    ("classify", "classify", 200, []),
+    ("states", "states", 400, []),
+    ("states-tol1e-10", "states", 400, ["--tol-psd", "1e-10"]),
+)
 
 
 def parse_args(argv):
@@ -53,14 +63,14 @@ def _import_cli(src: Path):
     return cli
 
 
-def digest(cli, jobs, workload: str, count: int, path: Path) -> str:
+def digest(cli, jobs, workload: str, count: int, extra: list[str], path: Path) -> str:
     """sha256 over each job's exit code line and stdout, in job order."""
     h = hashlib.sha256()
     for k in range(count):
         job = jobs.make_job(workload, SEED, k)
         if job.doc is not None:
             path.write_text(job.doc)
-        argv = [str(path) if a == jobs.INPUT else a for a in job.argv]
+        argv = [str(path) if a == jobs.INPUT else a for a in job.argv] + extra
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             try:
@@ -81,9 +91,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         # One fixed file name, so no path differs between two runs.
         path = Path(tmp) / "input.json"
-        for workload, count in PREFIX.items():
-            value = digest(cli, jobs, workload, count, path)
-            print(f"{workload} {count} {value}", flush=True)
+        for run, workload, count, extra in RUNS:
+            value = digest(cli, jobs, workload, count, extra, path)
+            print(f"{run} {count} {value}", flush=True)
     return 0
 
 
