@@ -317,58 +317,102 @@ def test_budget_validation():
     assert Budget(restarts=MAX_RESTARTS, iterations=10).restarts == MAX_RESTARTS
 
 
-def _per_restart_minimize(c, dims, budget, seed):
-    """Each restart as its own loop of 2-D eigensolves, one after another.
+def _run_alone(c, dims, x, value, iterations, bound):
+    """One restart as its own loop of 2-D eigensolves, from x with previous
+    value `value`, until its value moves by less than bound or for
+    `iterations` iterations.
 
     The compressions take the minimiser's arithmetic: one product with the
     Choi tensor, then a contraction with the other copy of the vector.
-    Returns (value, restart, x, y, converged) for every restart.
+    Returns (value, x, y, last change of value, iterations run).
     """
     n, m = dims
     c4 = c.reshape(n, m, n, m)
     c_second = c4.reshape(n, m * n * m)
     c_first = c4.transpose(1, 0, 2, 3).reshape(m, n * n * m)
-    scale = max(1.0, frob(c))
-    runs = []
-    for r in range(budget.restarts):
-        x = derive_stream(seed, r).complex_unit_vector(n)
-        value, converged = np.inf, False
-        for _ in range(budget.iterations):
-            second = np.einsum("kjl,j->kl", (x.conj() @ c_second).reshape(m, n, m), x)
-            w, v = np.linalg.eigh(second)
-            new_value, y = w[0], v[:, 0]
-            first = np.einsum("ijl,l->ij", (y.conj() @ c_first).reshape(n, n, m), y)
-            x = np.linalg.eigh(first)[1][:, 0]
-            converged = abs(value - new_value) < CONVERGENCE * scale
-            value = new_value
-            if converged:
-                break
-        runs.append((value, r, x, y, converged))
-    return runs
+    for k in range(1, iterations + 1):
+        second = np.einsum("kjl,j->kl", (x.conj() @ c_second).reshape(m, n, m), x)
+        w, v = np.linalg.eigh(second)
+        new_value, y = w[0], v[:, 0]
+        first = np.einsum("ijl,l->ij", (y.conj() @ c_first).reshape(n, n, m), y)
+        x = np.linalg.eigh(first)[1][:, 0]
+        delta = abs(value - new_value)
+        value = new_value
+        if delta < bound:
+            break
+    return value, x, y, delta, k
+
+
+def _start(seed, r, n):
+    return derive_stream(seed, r).complex_unit_vector(n)
+
+
+def _per_restart_minimize(c, dims, budget, seed):
+    """Each restart alone to the loose exit, one after another; the least
+    (loose value, restart index) then runs on alone to the CONVERGENCE
+    exit, within the same iteration budget.
+
+    Returns the winner as (value, restart, x, y, converged, iterations)
+    and every restart's loose run as (value, x, y, last change, iterations).
+    """
+    bound = CONVERGENCE * max(1.0, frob(c))
+    loose = [
+        _run_alone(
+            c, dims, _start(seed, r, dims[0]), np.inf, budget.iterations,
+            classify._RESTART_EXIT_RATIO * bound,
+        )
+        for r in range(budget.restarts)
+    ]
+    restart = min(range(budget.restarts), key=lambda r: (loose[r][0], r))
+    value, x, y, delta, used = loose[restart]
+    if delta >= bound and used < budget.iterations:
+        value, x, y, delta, more = _run_alone(
+            c, dims, x, value, budget.iterations - used, bound
+        )
+        used += more
+    return (value, restart, x, y, delta < bound, used), loose
+
+
+def _full_run(c, dims, budget, seed, r):
+    """Restart r's own run to the CONVERGENCE exit, as (value, x, y, converged)."""
+    bound = CONVERGENCE * max(1.0, frob(c))
+    value, x, y, delta, _ = _run_alone(
+        c, dims, _start(seed, r, dims[0]), np.inf, budget.iterations, bound
+    )
+    return value, x, y, delta < bound
 
 
 @pytest.mark.parametrize(
     "case",
-    ["choi3-capped", "dims-2x3", "dims-3x2", "random-9x9", "all-tied"],
+    ["choi3-capped", "dims-2x3", "dims-3x2", "random-9x9", "all-tied", "loose-winner"],
 )
 def test_lockstep_minimizer_matches_per_restart_loops(case):
     budget, seed = Budget(restarts=6, iterations=200), 11
     if case == "choi3-capped":
         c, dims = builtin_choi_map().choi, (3, 3)
-        budget, seed = Budget(restarts=16, iterations=500), 5
+        budget, seed = Budget(restarts=16, iterations=60), 5
     elif case == "random-9x9":
         c, dims = random_hermitian(derive_stream(311, 0), 9), (3, 3)
     elif case == "all-tied":
         # Every restart ends at exactly 0.0; the lowest index must win.
         c, dims = np.zeros((9, 9), dtype=complex), (3, 3)
+    elif case == "loose-winner":
+        c, dims = random_hermitian(derive_stream(301, 0), 9), (3, 3)
     else:
         dims = (2, 3) if case == "dims-2x3" else (3, 2)
         c = random_hermitian(derive_stream(312, dims[0]), 6)
-    runs = _per_restart_minimize(c, dims, budget, seed)
+    (value, restart, x, y, converged, _), loose = _per_restart_minimize(
+        c, dims, budget, seed
+    )
     if case == "choi3-capped":
         # Restarts leave the stack at different iterations, some at the cap.
-        assert {run[4] for run in runs} == {True, False}
-    value, restart, x, y, converged = min(runs, key=lambda run: run[:2])
+        assert len({run[4] for run in loose}) > 1
+        assert any(run[4] == budget.iterations for run in loose)
+    if case == "loose-winner":
+        # The rule picks by loose value: run to the end, another restart
+        # would have reported a lower value.
+        full = [_full_run(c, dims, budget, seed, r) for r in range(budget.restarts)]
+        assert min(range(budget.restarts), key=lambda r: (full[r][0], r)) != restart
     result = block_positivity_minimize(c, dims, budget, seed)
     assert result.restart == restart
     assert result.converged == converged
@@ -507,25 +551,79 @@ def test_block_minimizer_runs_without_the_checked_solver(monkeypatch):
     assert got.y.tobytes() == want.y.tobytes()
 
 
-def test_block_minimizer_logs_one_summary(caplog, eigh_inputs):
-    c, budget, seed = builtin_choi_map().choi, Budget(restarts=6, iterations=40), 5
-    runs = _per_restart_minimize(c, (3, 3), budget, seed)
-    del eigh_inputs[:]
+def _summary_line(caplog, *args):
+    """block_positivity_minimize(*args) and its DEBUG summary, parsed."""
     with caplog.at_level(logging.DEBUG, logger="entanglecone.classify"):
-        result = block_positivity_minimize(c, (3, 3), budget, seed)
+        result = block_positivity_minimize(*args)
     (line,) = [r.getMessage() for r in caplog.records if r.name == "entanglecone.classify"]
     found = re.fullmatch(
-        r"block positivity: (\d+) restarts, (\d+) half-steps, (\d+) converged; "
-        r"restart (\d+) wins at (\S+); \d+\.\d{3} s",
+        r"block positivity: (\d+) restarts, (\d+) half-steps, (\d+) loose exits; "
+        r"restart (\d+) wins at (\S+) after (\d+) refinement half-steps, "
+        r"(converged|not converged); \d+\.\d{3} s",
         line,
     )
     assert found is not None, line
-    restarts, half_steps, converged, winner = (int(g) for g in found.groups()[:4])
+    return result, found
+
+
+def test_block_minimizer_logs_one_summary(caplog, eigh_inputs):
+    c, budget, seed = builtin_choi_map().choi, Budget(restarts=6, iterations=40), 5
+    (_, restart, _, _, converged, used), loose = _per_restart_minimize(
+        c, (3, 3), budget, seed
+    )
+    del eigh_inputs[:]
+    result, found = _summary_line(caplog, c, (3, 3), budget, seed)
+    restarts, half_steps, exits, winner = (int(g) for g in found.groups()[:4])
+    refined = int(found.group(6))
     assert restarts == 6
-    # One stacked solve per half-step, one matrix per active restart.
+    # One stacked solve per half-step, one matrix per active restart, the
+    # winner's refinement included.
     assert half_steps == sum(len(a) for a in eigh_inputs)
-    # Some restarts converge and some reach the iteration cap.
-    assert 0 < converged < restarts
-    assert converged == sum(run[4] for run in runs)
-    assert winner == result.restart == min(runs, key=lambda run: run[:2])[1]
+    assert half_steps == 2 * (sum(run[4] for run in loose) + used - loose[restart][4])
+    # Some restarts make the loose exit and some reach the iteration cap.
+    assert 0 < exits < restarts
+    loose_bound = classify._RESTART_EXIT_RATIO * CONVERGENCE * max(1.0, frob(c))
+    assert exits == sum(run[3] < loose_bound for run in loose)
+    assert winner == result.restart == restart
+    assert refined == 2 * (used - loose[restart][4]) > 0
     assert found.group(5) == f"{result.value:.6e}"
+    assert found.group(7) == "converged" and result.converged == converged
+
+
+def test_winner_capped_in_its_refinement_is_not_converged(caplog):
+    # The winner makes its loose exit a few iterations before the cap and
+    # reaches the cap before the CONVERGENCE exit.
+    c, budget, seed = builtin_choi_map().choi, Budget(restarts=16, iterations=10), 5
+    (value, restart, x, y, converged, used), loose = _per_restart_minimize(
+        c, (3, 3), budget, seed
+    )
+    assert loose[restart][4] < budget.iterations and not converged
+    result, found = _summary_line(caplog, c, (3, 3), budget, seed)
+    assert not result.converged and found.group(7) == "not converged"
+    # The refinement takes only what is left of the winner's budget.
+    assert int(found.group(6)) == 2 * (budget.iterations - loose[restart][4])
+    assert (result.restart, result.value) == (restart, value)
+    assert np.array_equal(result.x, x) and np.array_equal(result.y, y)
+    full = _full_run(c, (3, 3), budget, seed, restart)
+    assert (result.value, result.converged) == (full[0], full[3])
+    assert np.array_equal(result.x, full[1]) and np.array_equal(result.y, full[2])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([2, 3]),
+    m=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-3, 3),
+)
+def test_block_minimum_is_its_winners_own_run(n, m, seed, exponent):
+    c = 10.0**exponent * random_hermitian(derive_stream(seed, 0), n * m)
+    budget = Budget(restarts=8, iterations=100)
+    result = block_positivity_minimize(c, (n, m), budget, seed)
+    loose_bound = classify._RESTART_EXIT_RATIO * CONVERGENCE * max(1.0, frob(c))
+    for r in range(budget.restarts):
+        run = _run_alone(c, (n, m), _start(seed, r, n), np.inf, budget.iterations, loose_bound)
+        assert result.value <= run[0]
+    value, x, y, converged = _full_run(c, (n, m), budget, seed, result.restart)
+    assert (result.value, result.converged) == (value, converged)
+    assert np.array_equal(result.x, x) and np.array_equal(result.y, y)

@@ -9,13 +9,16 @@ line per run:
     <run> <jobs> <sha256 of every job's exit code and stdout>
 
 where the run is the workload's name, or ``states-tol1e-10`` for the
-last one.
+last one. With ``--per-job`` it prints one line per job instead:
+
+    <run> <k> <sha256 of job k's exit code and stdout>
 
 Two trees print the same lines exactly when they give every job the
-same exit code and byte-identical stdout. Run from any directory:
+same exit code and byte-identical stdout; the per-job lines say which
+jobs differ. Run from any directory:
 
     python tools/stdout_digest.py --src src
-    python tools/stdout_digest.py --src /path/to/other/checkout/src
+    python tools/stdout_digest.py --src /path/to/other/checkout/src --per-job
 
 The job lists come from this checkout's ``bench/jobs.py`` for both
 trees, so the comparison holds the inputs fixed.
@@ -47,6 +50,10 @@ def parse_args(argv):
         "--src", required=True, type=Path,
         help="directory holding the entanglecone package to run",
     )
+    parser.add_argument(
+        "--per-job", action="store_true",
+        help="print one digest per job rather than one per run",
+    )
     return parser.parse_args(argv)
 
 
@@ -63,9 +70,8 @@ def _import_cli(src: Path):
     return cli
 
 
-def digest(cli, jobs, workload: str, count: int, extra: list[str], path: Path) -> str:
-    """sha256 over each job's exit code line and stdout, in job order."""
-    h = hashlib.sha256()
+def outputs(cli, jobs, workload: str, count: int, extra: list[str], path: Path):
+    """Each job's exit code line and stdout, as bytes, in job order."""
     for k in range(count):
         job = jobs.make_job(workload, SEED, k)
         if job.doc is not None:
@@ -77,9 +83,7 @@ def digest(cli, jobs, workload: str, count: int, extra: list[str], path: Path) -
                 code = cli.main(argv)
             except Exception as exc:  # a crash is part of the behaviour compared
                 code = f"raised {type(exc).__name__}"
-        h.update(f"{code}\n".encode())
-        h.update(out.getvalue().encode())
-    return h.hexdigest()
+        yield f"{code}\n{out.getvalue()}".encode()
 
 
 def main(argv=None) -> int:
@@ -92,8 +96,15 @@ def main(argv=None) -> int:
         # One fixed file name, so no path differs between two runs.
         path = Path(tmp) / "input.json"
         for run, workload, count, extra in RUNS:
-            value = digest(cli, jobs, workload, count, extra, path)
-            print(f"{run} {count} {value}", flush=True)
+            outs = outputs(cli, jobs, workload, count, extra, path)
+            if args.per_job:
+                for k, out in enumerate(outs):
+                    print(f"{run} {k} {hashlib.sha256(out).hexdigest()}", flush=True)
+            else:
+                h = hashlib.sha256()
+                for out in outs:
+                    h.update(out)
+                print(f"{run} {count} {h.hexdigest()}", flush=True)
     return 0
 
 
