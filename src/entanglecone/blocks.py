@@ -444,8 +444,8 @@ def conditional_expectation_verdict(
 
     from .states import witness_battery
 
-    state = state_from_map(f, tol)
-    report = witness_battery(state, tol=tol)
+    # The battery checks the density at tol, as in classify_map.
+    report = witness_battery(state_from_map(f), tol)
     if report.ppt and report.entanglement != "certified-entangled":
         raise NumericalError(
             "non-abelian range but the map's state evaded every witness"

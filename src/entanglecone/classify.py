@@ -323,9 +323,7 @@ def classify_map(
 
         # The battery checks the density at tol itself; state_from_map
         # checking it there too would take the same spectrum twice.
-        state = state_from_map(f)
-        # The dual map of that state is f itself: its verdicts are cp, cop.
-        report = witness_battery(state, tol, dual_verdicts=(cp, cop))
+        report = witness_battery(state_from_map(f), tol)
         if report.entanglement == "certified-entangled":
             eb_verdict = EB_ENTANGLED
             eb_witness_name = report.certificate_name

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, NumericalError
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -308,7 +308,10 @@ def pairing_value(f: MatrixMap, a: np.ndarray, b: np.ndarray) -> complex:
         raise DimensionError(
             f"second argument shape {b.shape} does not match output dimension"
         )
-    return complex(np.trace(apply_map(f, a) @ b.T))
+    value = complex(np.trace(apply_map(f, a) @ b.T))
+    if not np.isfinite(value):
+        raise NumericalError("pairing value overflows")
+    return value
 
 
 def maximally_entangled_matrix(n: int) -> np.ndarray:

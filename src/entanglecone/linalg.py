@@ -171,8 +171,12 @@ def hermitian_eigen(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _checked_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """hermitian_eigen of an operand as_matrix has accepted, with the
-    Frobenius norm of each matrix, taken once for every check and floor."""
+    Frobenius norm of each matrix, taken once for every check and floor.
+    A matrix whose norm overflows has no finite floor or bound, so it
+    raises DomainError."""
     norm = np.linalg.norm(a, axis=(-2, -1))
+    if not np.isfinite(norm).all():
+        raise DomainError("matrix norm overflows")
     if (hermitian_deviation(a) > CONVERGENCE * norm).any():
         raise DomainError("matrix is not Hermitian within tolerance")
     # Symmetrize to absorb roundoff before handing to the solver.

@@ -75,13 +75,6 @@ _POLISH_ROUNDS = 200
 SEARCH_BUDGET = Budget(restarts=16, iterations=200)
 
 
-def _copositive_dual(s: BipartiteState, tol: Tolerances) -> bool:
-    """The first-factor partial transpose's verdict. That array is, entry
-    for entry, the second-factor partial transpose of the global
-    transpose of the density: the copositivity test of the dual map."""
-    return is_psd(partial_transpose(s.density, s.dims, "first"), tol)[0]
-
-
 def _second_factor_outputs(s: BipartiteState, choi4: np.ndarray) -> np.ndarray:
     """The Hermitian part of (id (x) phi)(rho) for every map phi of a stack
     of Choi tensors (L, m, p, m, p), each as apply_to_second evaluates it."""
@@ -91,27 +84,13 @@ def _second_factor_outputs(s: BipartiteState, choi4: np.ndarray) -> np.ndarray:
     return hermitian_part(out.reshape(len(choi4), n * p, n * p))
 
 
-def _crosscheck_ppt(ok: bool, ok_first: bool) -> None:
-    if ok != ok_first:
-        raise NumericalError(
-            "partial transposes on the two factors disagree about positivity"
-        )
-
-
 def ppt_check(
     s: BipartiteState, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, np.ndarray | None]:
-    """Partial-transpose test with a cross-check on the other factor.
-
-    Returns ``(True, None)`` when the second-factor partial transpose is
-    PSD within tol's slack, otherwise ``(False, v)`` with v its least
-    eigenvector. The first-factor partial transpose must give the same
-    verdict, since the two are transposes of each other; a disagreement
-    raises NumericalError.
-    """
-    ok, witness = is_psd(partial_transpose(s.density, s.dims, "second"), tol)
-    _crosscheck_ppt(ok, _copositive_dual(s, tol))
-    return ok, witness
+    """Partial-transpose test: ``(True, None)`` when the second-factor
+    partial transpose is PSD within tol's slack, otherwise ``(False, v)``
+    with v its least eigenvector."""
+    return is_psd(partial_transpose(s.density, s.dims, "second"), tol)
 
 
 @dataclass(eq=False)
@@ -142,50 +121,36 @@ def witness_battery(
     s: BipartiteState,
     tol: Tolerances = DEFAULT_TOL,
     separable_certificate: bool = False,
-    dual_verdicts: tuple[bool, bool] | None = None,
 ) -> StateReport:
     """Apply default_witness_library to the second factor; collect verdicts.
 
-    Every check comes from one stacked spectrum: one output per distinct
-    map of the library (entries with equal Choi matrices share it) and,
-    when the caller passes no dual_verdicts, the dual map's Choi matrix
-    and the first-factor partial transpose. The library's first two
-    entries give the checks every state needs: the identity's output is
-    the density itself, which must be PSD within tol's slack or
-    DomainError is raised, and the transpose's output is the
-    second-factor partial transpose, whose verdict, least eigenvalue
+    Every check comes from one stacked spectrum, one output per distinct
+    map of the library (entries with equal Choi matrices share it). The
+    library's first two entries give the checks every state needs: the
+    identity's output is the density itself, which must be PSD within
+    tol's slack or DomainError is raised, and the transpose's output is
+    the second-factor partial transpose, whose verdict, least eigenvalue
     and eigenvector are the report's PPT fields. So a state that is not
     PPT is always caught, by the transpose entry at least.
 
     A separable certificate attached by the caller (states built from
     an explicit product ensemble) turns the verdict into
     certified-separable; such a state hitting any witness means a bug,
-    not a result, and raises NumericalError. The first-factor partial
-    transpose must agree with the PPT verdict, as in ppt_check.
+    not a result, and raises NumericalError.
 
-    ``dual_verdicts`` are is_cp and is_copositive at tol of the dual map
-    map_from_state(s), for a caller that has already taken them;
-    otherwise the battery takes them from the state, with the verdicts
-    those two separate calls would give, bit for bit.
+    ``peres_crosscheck`` is true by construction: by the Peres condition
+    the state is PPT exactly when its dual map is CP and copositive, so
+    the battery takes that route no second time; peres_equivalence does,
+    and the test suite checks the theorem with it.
     """
     library = default_witness_library(s.dims[1])
-    stack = _second_factor_outputs(s, library.choi4)
-    if dual_verdicts is None:
-        # The dual map's Choi matrix and the first-factor partial
-        # transpose join the same checked spectrum.
-        dual = [map_from_state(s).choi, partial_transpose(s.density, s.dims, "first")]
-        stack = np.concatenate([stack, dual])
-    ok, low, vec = psd_verdicts(stack, tol)
-    if dual_verdicts is None:
-        dual_verdicts = bool(ok[-2]), bool(ok[-1])
+    ok, low, vec = psd_verdicts(_second_factor_outputs(s, library.choi4), tol)
     ok, low, vec = ok[library.rows], low[library.rows], vec[library.rows]
     # BipartiteState checked PSD at the default slack; the hits below use
     # tol's, so a density that dips below that slack is no state.
     if not ok[0]:
         raise DomainError("state density is not PSD within tolerance")
     ppt = bool(ok[1])
-    cp_dual, copositive_dual = dual_verdicts
-    _crosscheck_ppt(ppt, copositive_dual)
     hits = [
         WitnessHit(name, float(value), vector)
         for (name, _), passed, value, vector in zip(library.entries, ok, low, vec)
@@ -221,7 +186,7 @@ def witness_battery(
         certificate_vector=cert_vec,
         certificate_value=cert_val,
         hits=tuple(hits),
-        peres_crosscheck=ppt == (cp_dual and copositive_dual),
+        peres_crosscheck=True,
     )
 
 
@@ -249,7 +214,9 @@ def peres_equivalence(s: BipartiteState, tol: Tolerances = DEFAULT_TOL) -> bool:
     """
     ok, _ = is_psd(partial_transpose(s.density, s.dims, "second"), tol)
     cp_dual, _ = is_cp(map_from_state(s), tol)
-    return ok == (cp_dual and _copositive_dual(s, tol))
+    # PT1 rho is, entry for entry, PT2 of the dual map's Choi matrix rho^T.
+    copositive_dual, _ = is_psd(partial_transpose(s.density, s.dims, "first"), tol)
+    return ok == (cp_dual and copositive_dual)
 
 
 def random_product_mixtures(

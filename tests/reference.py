@@ -217,8 +217,8 @@ def first_noncommuting_pair(f: MatrixMap) -> tuple[tuple[int, int], float] | Non
 def witness_battery_per_call(s: BipartiteState, tol: Tolerances) -> StateReport:
     """states.witness_battery, without a separable certificate, one checked
     call per matrix: each library entry's output through apply_to_second
-    and psd_verdicts, then is_cp of the dual map and is_psd of the
-    first-factor partial transpose."""
+    and psd_verdicts, then the Peres route the battery leaves out, is_cp
+    of the dual map and is_psd of the first-factor partial transpose."""
     entries = default_witness_library(s.dims[1]).entries
     verdicts = [
         psd_verdicts(hermitian_part(apply_to_second(s.density, s.dims, psi)), tol)

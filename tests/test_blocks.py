@@ -27,7 +27,7 @@ from entanglecone.duality import (
     transpose_map,
 )
 from entanglecone.errors import DimensionError, DomainError, NumericalError
-from entanglecone.linalg import frob
+from entanglecone.linalg import DEFAULT_TOL, Tolerances, frob
 from reference import (
     derive_stream,
     first_noncommuting_pair,
@@ -579,6 +579,21 @@ def test_conditional_expectation_identity_entangled():
     assert report.state_report is not None
     assert abs(report.state_report.ppt_min_eigenvalue + 1.0) < 1e-9
     assert report.state_report.entanglement == "certified-entangled"
+
+
+def test_conditional_expectation_diagonalises_the_density_twice(eigh_inputs):
+    # Once at the default slack as the state is built, and once as the
+    # battery's identity witness, which is also its density check at tol.
+    # The density of the identity's state is the real symmetric P.
+    f = identity_map(2)
+    density = f.choi.T
+    for tol in (DEFAULT_TOL, Tolerances(psd_slack=1e-10)):
+        conditional_expectation_verdict(f, tol)
+        eigh_inputs.clear()
+        report = conditional_expectation_verdict(f, tol)
+        assert report.verdict == "entangled"
+        matrices = [a for stack in eigh_inputs for a in stack.reshape((-1,) + stack.shape[-2:])]
+        assert sum(np.array_equal(a, density) for a in matrices) == 2
 
 
 def test_conditional_expectation_m3_block_range_separable():

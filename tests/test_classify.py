@@ -226,8 +226,8 @@ def test_classify_holevo_is_separable_choi():
 
 
 def test_classify_cp_map_diagonalises_c_and_its_partial_transpose_once(eigh_inputs):
-    # The battery reuses is_cp on C for its Peres route and is_copositive
-    # on PT2(C) for its first-factor partial transpose of C^T.
+    # is_cp and is_copositive diagonalise C and PT2(C); the battery's
+    # state is C^T, whose library outputs are neither of them.
     stream = derive_stream(305, 0)
     f = kraus_to_map([gaussian_complex_matrix(stream, 3, 3) for _ in range(2)])
     eigh_inputs.clear()

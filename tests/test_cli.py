@@ -18,9 +18,11 @@ from entanglecone.classify import builtin_choi_map
 from entanglecone.cli import main
 from entanglecone.duality import (
     HolevoForm,
+    MatrixMap,
     apply_to_second,
     holevo_to_map,
     maximally_entangled_matrix,
+    transpose_map,
 )
 from entanglecone.linalg import frob, partial_transpose
 from entanglecone.serialize import (
@@ -28,6 +30,7 @@ from entanglecone.serialize import (
     holevo_terms_from_json,
     holevo_terms_to_json,
     map_from_json,
+    map_to_json,
     matrix_from_json,
     matrix_to_json,
     state_document_from_json,
@@ -305,6 +308,27 @@ def test_domain_error_exit(tmp_path, capsys):
     path = _write(tmp_path / "bad_state.json", not_psd)
     assert main(["analyze-state", path]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports each overflow
+def test_overflowing_finite_inputs_exit_3(tmp_path, capsys):
+    # Finite entries whose norms overflow, so every psd floor and bound
+    # would be infinite or NaN: the transpose map on M2 (its Choi matrix
+    # is the swap) at 1e200, the Choi matrix 1e308 I4, whose Hermitian
+    # part overflows too, and a pairing whose value is not finite.
+    big = {
+        "swap": map_to_json(MatrixMap(2, 2, 1e200 * transpose_map(2).choi)),
+        "eye": map_to_json(MatrixMap(2, 2, 1e308 * np.eye(4, dtype=complex))),
+        "a": matrix_to_json(1e200 * np.eye(2, dtype=complex)),
+    }
+    paths = {name: _write(tmp_path / f"{name}.json", doc) for name, doc in big.items()}
+    for argv in (
+        ["classify-map", paths["swap"]],
+        ["classify-map", paths["eye"]],
+        ["pair", "builtin:identity2", paths["a"], paths["a"]],
+    ):
+        code, out = _run(capsys, argv)
+        assert (code, out) == (3, ""), argv
 
 
 def test_tolerance_validation_exit(capsys):

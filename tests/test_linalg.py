@@ -189,12 +189,20 @@ def test_eigen_stack_matches_each_matrix():
             assert np.array_equal(vectors[index], v)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_eigen_stack_checks_every_matrix():
     stack = _hermitian_stack(110, (4,), 3)
     bad = stack.copy()
     bad[2, 0, 1] = np.inf
     with pytest.raises(DomainError):
         hermitian_eigen(bad)
+    # Finite entries whose norm overflows leave no finite floor or bound.
+    for big in (1e200, 1e308):
+        bad = stack.copy()
+        bad[1] = big * np.eye(3)
+        for check in (hermitian_eigen, psd_verdicts):
+            with pytest.raises(DomainError, match="norm overflows"):
+                check(bad)
     # A deviation of 1e-6 is small beside slice 0's norm but not beside
     # slice 3's own, which is what it is measured against.
     bad = stack.copy()

@@ -3,7 +3,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entanglecone import states
@@ -106,12 +106,13 @@ def test_battery_diagonalises_each_partial_transpose_once(eigh_inputs):
     h = random_pure_mixture(derive_stream(409, 0), 9, 2)
     g = random_pure_mixture(derive_stream(409, 1), 4, 2)
     # The six distinct library outputs (choi3-tconj has choi3's Choi
-    # matrix), the dual map's Choi matrix and the first-factor partial
-    # transpose; on a 2x2 state the library is identity2 and transpose2.
+    # matrix); on a 2x2 state the library is identity2 and transpose2.
+    # The Peres condition makes the dual map's Choi matrix and the
+    # first-factor partial transpose redundant, so neither is diagonalised.
     for ppt, dims, density, count in [
-        (False, (3, 3), h, 8),
-        (True, (3, 3), 0.1 * h + 0.9 * np.eye(9) / 9, 8),
-        (False, (2, 2), g, 4),
+        (False, (3, 3), h, 6),
+        (True, (3, 3), 0.1 * h + 0.9 * np.eye(9) / 9, 6),
+        (False, (2, 2), g, 2),
     ]:
         s = BipartiteState(dims, density)
         witness_battery(s)
@@ -120,9 +121,11 @@ def test_battery_diagonalises_each_partial_transpose_once(eigh_inputs):
         assert report.ppt == ppt
         first = hermitian_part(partial_transpose(s.density, s.dims, "first"))
         second = hermitian_part(partial_transpose(s.density, s.dims, "second"))
+        dual = hermitian_part(map_from_state(s).choi)
         assert not np.array_equal(first, second)
-        assert _equal_count(eigh_inputs, first) == 1
-        # The transpose witness gives the PPT verdict too.
+        assert _equal_count(eigh_inputs, first) == 0
+        assert _equal_count(eigh_inputs, dual) == 0
+        # The transpose witness gives the PPT verdict.
         assert _equal_count(eigh_inputs, second) == 1
         assert len(eigh_inputs) == 1
         assert len(eigh_inputs[0]) == count
@@ -179,7 +182,9 @@ def _bits(x):
 @example(n=3, m=3, rank=2, noise=0.0, slack=1e-10, seed=409)
 def test_battery_equals_the_per_call_reference(n, m, rank, noise, slack, seed):
     # The one stacked spectrum gives the report of one checked call per
-    # matrix, bit for bit, duplicate library maps and dual verdicts included.
+    # matrix, bit for bit, duplicate library maps included; the reference
+    # also takes the Peres route and raises or clears peres_crosscheck
+    # where the theorem would fail.
     d = n * m
     h = random_pure_mixture(derive_stream(seed, 0), d, rank)
     s = BipartiteState((n, m), (1.0 - noise) * h + noise * np.eye(d) / d)
@@ -189,17 +194,14 @@ def test_battery_equals_the_per_call_reference(n, m, rank, noise, slack, seed):
     assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(want))
 
 
-@pytest.mark.parametrize("row", ["dual", "first"])
+@pytest.mark.parametrize("row", ["transpose3", "choi3-twist1"])
 def test_stacked_residual_fault_raises_as_the_separate_call(monkeypatch, row):
     # eigh returns a wrong spectrum for one matrix of the stack only: the
-    # dual map's Choi matrix or the first-factor partial transpose. The
-    # battery raises what is_psd on that matrix alone raises (is_cp of
-    # the dual map is is_psd of its Choi matrix).
+    # output of the transpose or of a twisted Choi map. The battery raises
+    # what is_psd on that output alone raises.
     s = BipartiteState((3, 3), random_pure_mixture(derive_stream(411, 0), 9, 2))
-    if row == "dual":
-        target = map_from_state(s).choi
-    else:
-        target = partial_transpose(s.density, s.dims, "first")
+    psi = dict(default_witness_library(3).entries)[row]
+    target = apply_to_second(s.density, s.dims, psi)
     faulty_input = hermitian_part(target)
     real = np.linalg.eigh
 
@@ -255,7 +257,8 @@ def _ppt_product_state():
     return BipartiteState((2, 2), kron(e11, np.eye(2, dtype=complex) / 2.0))
 
 
-def test_first_factor_fault_raises(monkeypatch):
+def test_first_factor_fault_fails_peres(monkeypatch):
+    # A first-factor partial transpose with the wrong sign is not PSD.
     real = states.partial_transpose
 
     def faulty(x, dims, side="second"):
@@ -264,10 +267,8 @@ def test_first_factor_fault_raises(monkeypatch):
 
     monkeypatch.setattr(states, "partial_transpose", faulty)
     s = _ppt_product_state()
-    with pytest.raises(NumericalError, match="two factors"):
-        ppt_check(s)
-    with pytest.raises(NumericalError, match="two factors"):
-        witness_battery(s)
+    assert ppt_check(s)[0]
+    assert not peres_equivalence(s)
 
 
 def test_transpose_route_fault_fails_peres(monkeypatch):
@@ -279,7 +280,6 @@ def test_transpose_route_fault_fails_peres(monkeypatch):
     )
     s = _ppt_product_state()
     assert not peres_equivalence(s)
-    assert not witness_battery(s).peres_crosscheck
 
 
 def test_witness_battery_detects_maximally_entangled():
@@ -375,6 +375,51 @@ _STATES = dict(
 @given(**_STATES)
 def test_peres_equivalence_holds_on_random_states(kind, n, m, seed, weight):
     assert peres_equivalence(_random_state(kind, n, m, seed, weight))
+
+
+def _state_at_the_ppt_edge(n, m, rank, seed, slack, ulps):
+    """A trace-one mixture (1 - t) h + t I/d of an entangled pure mixture
+    h with white noise, t set so that lambda_min(PT2 rho) falls on
+    -slack, the psd floor of a matrix of norm below one, then moved by
+    ``ulps`` units in the last place of t. Each unit moves that
+    eigenvalue by about 1e-17, below the eigensolver's roundoff, so the
+    draws straddle the verdict's edge. None when h has no such edge."""
+    d = n * m
+    h = random_pure_mixture(derive_stream(seed, 0), d, rank)
+
+    def low(t):
+        rho = (1.0 - t) * h + t * np.eye(d) / d
+        return np.linalg.eigvalsh(hermitian_part(partial_transpose(rho, (n, m))))[0]
+
+    low0 = low(0.0)
+    if low0 >= -slack:
+        return None
+    # lambda_min(PT2 rho) is linear in t until another eigenvalue crosses.
+    t = (-slack - low0) / (1.0 / d - low0)
+    for _ in range(3):
+        t += (-slack - low(t)) / (1.0 / d - low0)
+    t += ulps * np.spacing(t)
+    return BipartiteState((n, m), (1.0 - t) * h + t * np.eye(d) / d)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+    rank=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    slack=st.sampled_from([DEFAULT_TOL.psd_slack, 1e-10]),
+    ulps=st.integers(-8, 8),
+)
+def test_peres_condition_at_the_tolerance_edge(dims, rank, seed, slack, ulps):
+    # The battery reads the PPT verdict from PT2 rho alone. On states
+    # whose least PT eigenvalue sits on the psd floor, the Peres route
+    # (the dual map CP and copositive, that is PT1 rho PSD) still agrees.
+    s = _state_at_the_ppt_edge(*dims, rank, seed, slack, ulps)
+    assume(s is not None)
+    tol = Tolerances(slack)
+    assert peres_equivalence(s, tol)
+    first = partial_transpose(s.density, s.dims, "first")
+    assert witness_battery(s, tol).ppt == is_psd(first, tol)[0]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -3,13 +3,16 @@
 Runs the first 100 ``search``, 200 ``classify`` and 400 ``states`` jobs
 of bench seed 7 from ``bench/jobs.py`` in-process through
 ``entanglecone.cli.main``, against the package found in ``--src``, then
-the same 400 ``states`` jobs with ``--tol-psd 1e-10``, and prints one
-line per run:
+the same 400 ``states`` jobs and 200 ``classify`` jobs with
+``--tol-psd 1e-10``, and prints one line per run:
 
     <run> <jobs> <sha256 of every job's exit code and stdout>
 
-where the run is the workload's name, or ``states-tol1e-10`` for the
-last one. With ``--per-job`` it prints one line per job instead:
+where the run is the workload's name, or ``states-tol1e-10`` and
+``classify-tol1e-10`` for the last two. The ``classify`` jobs at the
+non-default slack cover the witness battery that classify-map runs on
+the state of a completely positive map. With ``--per-job`` it prints one
+line per job instead:
 
     <run> <k> <sha256 of job k's exit code and stdout>
 
@@ -41,6 +44,7 @@ RUNS = (
     ("classify", "classify", 200, []),
     ("states", "states", 400, []),
     ("states-tol1e-10", "states", 400, ["--tol-psd", "1e-10"]),
+    ("classify-tol1e-10", "classify", 200, ["--tol-psd", "1e-10"]),
 )
 
 
