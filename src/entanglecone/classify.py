@@ -25,7 +25,6 @@ from .duality import (
     compose,
     identity_map,
     kraus_to_map,
-    map_transpose_conjugate,
     state_from_map,
     transpose_map,
 )
@@ -374,25 +373,16 @@ def builtin_choi_map() -> MatrixMap:
 class WitnessLibrary:
     """Named positive maps applied as id (x) psi in the state battery.
 
-    ``choi4`` stacks the Choi tensors of the distinct maps, read-only,
-    and ``rows[i]`` is the row of entry i in it: entries whose Choi
-    matrices are equal bit for bit share one row, so the battery
-    evaluates and diagonalises each distinct map once.
+    ``choi4`` stacks the entries' Choi tensors in order, read-only, so
+    the battery evaluates and diagonalises every entry in one pass.
     """
 
     entries: tuple[tuple[str, MatrixMap], ...]
     choi4: np.ndarray = field(init=False)
-    rows: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        index: dict[bytes, int] = {}
-        self.rows = np.array(
-            [index.setdefault(f.choi.tobytes(), len(index)) for _, f in self.entries]
-        )
-        # Rows are numbered in order of first appearance.
-        first = np.unique(self.rows, return_index=True)[1]
-        self.choi4 = np.stack([self.entries[i][1].choi4() for i in first])
-        self.rows.flags.writeable = self.choi4.flags.writeable = False
+        self.choi4 = np.stack([f.choi4() for _, f in self.entries])
+        self.choi4.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=8)
@@ -402,11 +392,10 @@ def default_witness_library(m: int) -> WitnessLibrary:
     Always starts with identity{m} and transpose{m}, in that order: the
     state battery reads their outputs as its density check and its PPT
     verdict. For m = 3 it adds
-    the builtin witness map, its transpose conjugate, a composition
-    with the transpose, and two unitary twists a phi(b x b*) a*, which
-    stay positive and widen the set of detectable states. Every entry
-    is positive by construction; the test suite checks each for block
-    positivity.
+    the builtin witness map, a composition with the transpose, and two
+    unitary twists a phi(b x b*) a*, which stay positive and widen the
+    set of detectable states. Every entry is positive by construction;
+    the test suite checks each for block positivity.
     """
     entries: list[tuple[str, MatrixMap]] = [
         (f"identity{m}", identity_map(m)),
@@ -415,7 +404,6 @@ def default_witness_library(m: int) -> WitnessLibrary:
     if m == 3:
         base = builtin_choi_map()
         entries.append(("choi3", base))
-        entries.append(("choi3-tconj", map_transpose_conjugate(base)))
         entries.append(("choi3-post-t", compose(transpose_map(3), base)))
         for k in (1, 2):
             words = stream_words(_LIBRARY_SEED, [k])

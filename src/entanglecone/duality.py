@@ -22,7 +22,6 @@ import numpy as np
 from .errors import DimensionError, DomainError, NumericalError
 from .linalg import (
     DEFAULT_TOL,
-    Tolerances,
     as_matrix,
     check_bipartite,
     e_matrix,
@@ -260,34 +259,27 @@ def holevo_to_map(form: HolevoForm) -> MatrixMap:
     return MatrixMap(n, m, choi, holevo=form)
 
 
-def state_from_map(f: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> BipartiteState:
+def state_from_map(f: MatrixMap) -> BipartiteState:
     """Bipartite state implementing the functional of a CP map.
 
     The density is the global transpose of the Choi matrix; it is PSD
     exactly when the map is completely positive, so non-CP maps are
-    rejected here. The PSD verdict at the default slack is the one
-    BipartiteState takes; a second spectrum is taken only at another
-    tolerance, or to name the witness of a rejection.
+    rejected here, by the PSD verdict at the default slack that
+    BipartiteState takes. A second spectrum is taken only to name the
+    witness of a rejection.
     """
     density = f.choi.T.copy()
     try:
-        state = BipartiteState((f.dim_in, f.dim_out), density)
+        return BipartiteState((f.dim_in, f.dim_out), density)
     except DomainError:
-        _require_cp_density(density, tol)
+        ok, witness = is_psd(density)
+        if not ok:
+            err = DomainError(
+                "map is not completely positive, its functional is not a state"
+            )
+            err.witness = witness
+            raise err
         raise
-    if tol != DEFAULT_TOL:
-        _require_cp_density(density, tol)
-    return state
-
-
-def _require_cp_density(density: np.ndarray, tol: Tolerances) -> None:
-    ok, witness = is_psd(density, tol)
-    if not ok:
-        err = DomainError(
-            "map is not completely positive, its functional is not a state"
-        )
-        err.witness = witness
-        raise err
 
 
 def map_from_state(s: BipartiteState) -> MatrixMap:

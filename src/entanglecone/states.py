@@ -27,7 +27,6 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     check_bipartite,
-    frob,
     hermitian_eigen,
     hermitian_part,
     is_psd,
@@ -68,9 +67,9 @@ _ASCENT_GAP_RATIO = 1e-3
 # Past sweeps combined by each Anderson step of _dykstra. Near the common
 # boundary of the cones, 16 needed fewer sweeps than 5 or 8.
 _DYKSTRA_MEMORY = 16
-# _polish_feasibility's relative target slack and its cap on rounds.
-_POLISH_TARGET = 1e-12
-_POLISH_ROUNDS = 200
+# Relative exit gap of the winner's last projection: PT(h) is PSD and
+# lambda_min(h) >= -1e-12 max(1, ||h||), headroom for its certificates.
+_FINISH_GAP = 1e-12
 
 SEARCH_BUDGET = Budget(restarts=16, iterations=200)
 
@@ -124,8 +123,8 @@ def witness_battery(
 ) -> StateReport:
     """Apply default_witness_library to the second factor; collect verdicts.
 
-    Every check comes from one stacked spectrum, one output per distinct
-    map of the library (entries with equal Choi matrices share it). The
+    Every check comes from one stacked spectrum, one output per map of
+    the library. The
     library's first two entries give the checks every state needs: the
     identity's output is the density itself, which must be PSD within
     tol's slack or DomainError is raised, and the transpose's output is
@@ -145,7 +144,6 @@ def witness_battery(
     """
     library = default_witness_library(s.dims[1])
     ok, low, vec = psd_verdicts(_second_factor_outputs(s, library.choi4), tol)
-    ok, low, vec = ok[library.rows], low[library.rows], vec[library.rows]
     # BipartiteState checked PSD at the default slack; the hits below use
     # tol's, so a density that dips below that slack is no state.
     if not ok[0]:
@@ -494,13 +492,15 @@ def search_ppt_entangled(
     value at a feasible point by O(r). Only the winner's state is
     reported: when it came from a loose projection, its unprojected
     candidate is projected once more, exactly, from the restart's
-    correction, then normalised and polished, and the reported
-    violation comes from the checked hermitian_eigen.
+    correction, then normalised. The finish then projects the winner
+    once more to the relative gap _FINISH_GAP and normalises it, and
+    the reported violation comes from the checked hermitian_eigen.
 
     One DEBUG line on the module logger reports the restarts, ascent
     steps, stacked projection calls, the matrix-sweeps of the start and
-    ascent and those of the winner's exact finish, cap hits, and the
-    wall time of the start, ascent, finish and polish phases.
+    ascent and those of the winner's finish, cap hits, and the wall time
+    of the start, ascent, finish and polish phases; the polish is the
+    projection to _FINISH_GAP, and its sweeps count toward the finish.
     """
     n = m = witness.dim_in
     dims = (n, m)
@@ -525,7 +525,7 @@ def search_ppt_entangled(
     def project(
         x: np.ndarray,
         correction: np.ndarray | None = None,
-        gap: np.ndarray | None = None,
+        gap: float | np.ndarray | None = None,
     ) -> np.ndarray:
         nonlocal calls, matrix_sweeps, cap_hits
         out, sweeps = _dykstra(x, dims, correction, gap)
@@ -623,7 +623,8 @@ def search_ppt_entangled(
         h = project(source[winner], correction[winner])
         h = h / np.real(np.trace(h))
     polish_started = time.perf_counter()
-    h = _polish_feasibility(h, dims)
+    h = project(h, gap=_FINISH_GAP)
+    h = h / np.real(np.trace(h))
     # The certified figure comes from the checked solver.
     w, _ = hermitian_eigen(hermitian_part(apply_to_second(h, dims, witness)))
     logger.debug(
@@ -650,22 +651,3 @@ def search_ppt_entangled(
         seed=seed,
         witness_name=witness_name,
     )
-
-
-def _polish_feasibility(h: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Alternating projections until both spectra clear _POLISH_TARGET.
-
-    The ascent leaves iterates feasible only up to the Dykstra exit
-    gap; certificates deserve more headroom than that.
-    """
-    for _ in range(_POLISH_ROUNDS):
-        scale = max(1.0, frob(h))
-        low_direct = np.linalg.eigvalsh(hermitian_part(h))[0]
-        low_pt = np.linalg.eigvalsh(
-            hermitian_part(partial_transpose(h, dims, "second"))
-        )[0]
-        if low_direct >= -_POLISH_TARGET * scale and low_pt >= -_POLISH_TARGET * scale:
-            break
-        h = _proj_pt_psd(_proj_psd(h), dims)
-        h = h / np.real(np.trace(h))
-    return h

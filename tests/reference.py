@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from entanglecone.blocks import hermitian_basis
+from entanglecone.blocks import _is_projection, hermitian_basis
 from entanglecone.classify import default_witness_library, is_cp
 from entanglecone.duality import (
     BipartiteState,
@@ -25,6 +25,7 @@ from entanglecone.duality import (
 from entanglecone.errors import DomainError, NumericalError
 from entanglecone.linalg import (
     CONVERGENCE,
+    DEFAULT_TOL,
     Tolerances,
     frob,
     hermitian_eigen,
@@ -251,3 +252,36 @@ def witness_battery_per_call(s: BipartiteState, tol: Tolerances) -> StateReport:
         hits=hits,
         peres_crosscheck=ppt == (cp_dual and copositive_dual),
     )
+
+
+def split_by_projection_per_basis(
+    f: MatrixMap, e: np.ndarray, tol: Tolerances = DEFAULT_TOL
+) -> bool:
+    """blocks.split_by_projection on a projection e in the definite set of
+    f, with the splitting identities checked one Hermitian basis input at
+    a time, each under 1e-9 relative to that input's image."""
+    fc = np.eye(f.dim_in) - e
+    pe = apply_map(f, e)
+    pf = apply_map(f, fc)
+    if not (_is_projection(pe, tol) and _is_projection(pf, tol)):
+        return False
+    if frob(pe @ pf) > 1e-9 * max(1.0, frob(pe) * frob(pf)):
+        return False
+    for x in hermitian_basis(f.dim_in):
+        fx = apply_map(f, x)
+        split_inputs = apply_map(f, e @ x @ e) + apply_map(f, fc @ x @ fc)
+        split_outputs = pe @ fx @ pe + pf @ fx @ pf
+        bound = 1e-9 * max(1.0, frob(fx))
+        if frob(fx - split_inputs) > bound or frob(fx - split_outputs) > bound:
+            return False
+    return True
+
+
+def is_idempotent_per_basis(f: MatrixMap) -> bool:
+    """phi(phi(h)) = phi(h) one Hermitian basis input at a time, each under
+    CONVERGENCE relative to that input's image."""
+    for h in hermitian_basis(f.dim_in):
+        fh = apply_map(f, h)
+        if frob(apply_map(f, fh) - fh) > CONVERGENCE * max(1.0, frob(fh)):
+            return False
+    return True

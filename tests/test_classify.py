@@ -26,6 +26,7 @@ from entanglecone.duality import (
     holevo_to_map,
     identity_map,
     kraus_to_map,
+    map_transpose_conjugate,
     maximally_entangled_matrix,
     transpose_map,
 )
@@ -282,7 +283,6 @@ _LIBRARY_NAMES = {
         "identity3",
         "transpose3",
         "choi3",
-        "choi3-tconj",
         "choi3-post-t",
         "choi3-twist1",
         "choi3-twist2",
@@ -294,8 +294,16 @@ def test_default_witness_library_contents():
     for m, names in _LIBRARY_NAMES.items():
         lib = default_witness_library(m)
         assert [name for name, _ in lib.entries] == names
+        # The battery's stack holds every entry's Choi tensor, in order.
+        assert lib.choi4.shape == (len(names), m, m, m, m)
+        for (_, f), c4 in zip(lib.entries, lib.choi4):
+            assert np.array_equal(c4, f.choi4())
         # Cached: repeated calls return the same object.
         assert default_witness_library(m) is lib
+    # The builtin map's transpose conjugate is no entry: its Choi matrix is
+    # real symmetric, so that map is the builtin map, bit for bit.
+    base = builtin_choi_map()
+    assert np.array_equal(map_transpose_conjugate(base).choi, base.choi)
 
 
 @pytest.mark.parametrize(

@@ -194,6 +194,25 @@ def test_decompose_two_blocks(tmp_path, capsys):
     assert doc["max_cross_overlap"] <= 1e-9
 
 
+def test_decompose_joins_terms_overlapping_above_the_identity_bound(tmp_path, capsys):
+    # The b factors overlap by |<u|v>|^2 = 5e-9, above the splitting
+    # identity's 1e-9 bound: in two blocks the terms would break that
+    # identity, so the overlap relation joins them into one.
+    u = np.array([1.0, 0.0])
+    v = np.array([np.sqrt(5e-9), np.sqrt(1.0 - 5e-9)])
+    ens = SeparableEnsemble(
+        (
+            (0.5, np.diag([1.0, 0.0]).astype(complex), np.outer(u, u).astype(complex)),
+            (0.5, np.diag([0.0, 1.0]).astype(complex), np.outer(v, v).astype(complex)),
+        )
+    )
+    path = _write(tmp_path / "ens.json", ensemble_to_json(ens))
+    code, out = _run(capsys, ["decompose", path])
+    assert code == 0
+    (component,) = json.loads(out)["components"]
+    assert component["indices"] == [0, 1]
+
+
 def test_decompose_rejects_density_repr(tmp_path, capsys):
     path = _write(tmp_path / "state.json", _entangled_state_doc())
     code, _ = _run(capsys, ["decompose", path])
