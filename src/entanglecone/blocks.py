@@ -17,6 +17,7 @@ import numpy as np
 
 from .duality import (
     MAX_CHOI_DIM,
+    MAX_ENSEMBLE_ENTRIES,
     BipartiteState,
     HolevoForm,
     MatrixMap,
@@ -54,11 +55,6 @@ _OVERLAP_THRESHOLD = 1e-9
 # Eigenvalue clusters are split at gaps larger than this fraction of
 # the spectral spread.
 _CLUSTER_GAP = 1e-8
-
-# Cap on terms * (n*m)^2, the entries of the (terms, nm, nm) stack of
-# products that decomposition forms: 2^20 complex entries are 16 MB, and
-# decomposing k = n = m = 16 peaked at about 100 MB under tracemalloc.
-MAX_ENSEMBLE_ENTRIES = 2**20
 
 VERDICT_SEPARABLE = "separable"
 VERDICT_ENTANGLED = "entangled"

@@ -62,9 +62,25 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="also write the result JSON to this file")
 
 
+def _seed(text: str) -> int:
+    """A seed in [0, 2^64): the PRNG keeps it in one word, so any other
+    integer would alias one of these."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in [0, 2^64), got {text!r}"
+        )
+    return value
+
+
 def _add_budget(sub: argparse.ArgumentParser, budget: Budget) -> None:
     """Seed and budget flags, for the two commands that run restarts."""
-    sub.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    sub.add_argument(
+        "--seed", type=_seed, default=0, help="PRNG seed in [0, 2^64) (default 0)"
+    )
     sub.add_argument(
         "--budget-restarts",
         type=int,

@@ -37,6 +37,11 @@ from .linalg import (
 # while builtin:identity99 would need 9801 x 9801 (1.5 GB, and several
 # times that in the analyses).
 MAX_CHOI_DIM = 256
+# Cap on k * (n*m)^2, the entries of k matrices of side n*m: the products
+# of a k-term ensemble (16 MB; decomposing k = n = m = 16 peaked at about
+# 100 MB under tracemalloc) or the states of a k-restart search, whose
+# projections keep 32 history rows per state (0.8 GB at k = 16, n*m = 256).
+MAX_ENSEMBLE_ENTRIES = 2**20
 
 
 def _check_choi_size(n: int, m: int) -> None:
@@ -221,14 +226,15 @@ def map_transpose_conjugate(f: MatrixMap) -> MatrixMap:
 
 
 def compose(g: MatrixMap, f: MatrixMap) -> MatrixMap:
-    """The composition g . f, evaluated through the action on a basis."""
+    """The composition g . f, one contraction of the two Choi tensors."""
     if f.dim_out != g.dim_in:
         raise DimensionError(
             f"cannot compose: inner dimensions {f.dim_out} and {g.dim_in} differ"
         )
-    return choi_from_action(
-        f.dim_in, g.dim_out, lambda a: apply_map(g, apply_map(f, a))
-    )
+    n, p = f.dim_in, g.dim_out
+    _check_choi_size(n, p)
+    c4 = np.einsum("ikjl,kalb->iajb", f.choi4(), g.choi4())
+    return MatrixMap(n, p, c4.reshape(n * p, n * p))
 
 
 def kraus_to_map(ops) -> MatrixMap:

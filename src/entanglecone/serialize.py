@@ -272,7 +272,7 @@ def _render_entries(entries: _Entries, newline: str) -> str:
     return f"[{outer}[{inner}{body}{outer}]{newline}]"
 
 
-def to_text(obj, prefix: str = "") -> str:
+def to_text(obj) -> str:
     """Flat key: value rendering carrying the same verdicts as the JSON.
 
     Matrices are summarized by shape; everything scalar is printed.
@@ -292,7 +292,7 @@ def to_text(obj, prefix: str = "") -> str:
         else:
             lines.append(f"{path}: {node}")
 
-    walk(obj, prefix)
+    walk(obj, "")
     return "\n".join(lines)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .classify import Budget, default_witness_library, is_copositive, is_cp
 from .duality import (
+    MAX_ENSEMBLE_ENTRIES,
     BipartiteState,
     MatrixMap,
     apply_to_second,
@@ -489,12 +490,14 @@ def search_ppt_entangled(
     exact once the steps are short. A loosely projected candidate is
     PT-PSD exactly but only PSD to within its gap r (see _dykstra), so
     its violation, which the acceptance test compares, may exceed its
-    value at a feasible point by O(r). Only the winner's state is
-    reported: when it came from a loose projection, its unprojected
-    candidate is projected once more, exactly, from the restart's
-    correction, then normalised. The finish then projects the winner
-    once more to the relative gap _FINISH_GAP and normalises it, and
-    the reported violation comes from the checked hermitian_eigen.
+    value at a feasible point by O(r). A restart's state is always the
+    normalised projection of its source, its start or last accepted
+    candidate; a candidate whose projection has no trace is a rejected
+    step. Only the winner's state is reported: its source is projected
+    once more, exactly, from the restart's correction, then to the
+    relative gap _FINISH_GAP, each time normalised, and the reported
+    violation comes from the checked hermitian_eigen. A search with
+    restarts (n m)^2 above MAX_ENSEMBLE_ENTRIES raises DimensionError.
 
     One DEBUG line on the module logger reports the restarts, ascent
     steps, stacked projection calls, the matrix-sweeps of the start and
@@ -505,6 +508,12 @@ def search_ppt_entangled(
     n = m = witness.dim_in
     dims = (n, m)
     d = n * m
+    restarts = budget.restarts
+    if restarts * d**2 > MAX_ENSEMBLE_ENTRIES:
+        raise DimensionError(
+            f"{restarts} restarts on dims {dims} exceed the cap "
+            f"restarts*(n*m)^2 <= {MAX_ENSEMBLE_ENTRIES}"
+        )
     adjoint = map_adjoint(witness)
 
     cp_now, _ = is_cp(witness, tol)
@@ -518,8 +527,6 @@ def search_ppt_entangled(
         )
 
     started = time.perf_counter()
-    restarts = budget.restarts
-    words = stream_words(seed, range(restarts))
     calls = matrix_sweeps = cap_hits = 0
 
     def project(
@@ -534,24 +541,15 @@ def search_ppt_entangled(
         cap_hits += int(np.count_nonzero(sweeps >= _DYKSTRA_ITERATIONS))
         return out
 
-    def fresh_starts(rs: np.ndarray) -> np.ndarray:
-        drawn = words[rs]
-        mixed = random_product_mixtures(drawn, n, m, _INIT_PRODUCT_TERMS)
-        words[rs] = drawn
-        h = (1.0 - _INIT_INTERIOR_WEIGHT) * mixed
-        h += _INIT_INTERIOR_WEIGHT * np.eye(d) / d
-        h = project(h)
-        return h / np.real(np.trace(h, axis1=1, axis2=2))[:, np.newaxis, np.newaxis]
-
-    h = fresh_starts(np.arange(restarts))
+    words = stream_words(seed, range(restarts))
+    source = random_product_mixtures(words, n, m, _INIT_PRODUCT_TERMS)
+    source *= 1.0 - _INIT_INTERIOR_WEIGHT
+    source += _INIT_INTERIOR_WEIGHT * np.eye(d) / d
+    h = project(source)
+    h /= np.real(np.trace(h, axis1=1, axis2=2))[:, np.newaxis, np.newaxis]
     correction = np.zeros((restarts, d, d), dtype=np.complex128)
-    # Each restart's last accepted move and unprojected accepted candidate,
-    # and whether its state came from a loose projection.
     last_move = np.full(restarts, np.inf)
-    source = np.empty_like(h)
-    loose = np.zeros(restarts, dtype=bool)
     viol, vec = _violation(h, dims, witness)
-    best = viol.copy()
     plateau = np.zeros(restarts, dtype=np.int64)
     converged = np.zeros(restarts, dtype=bool)
     iterations = np.zeros(restarts, dtype=np.int64)
@@ -570,6 +568,7 @@ def search_ppt_entangled(
             )
         )
         grad_norm = _frob_each(grad)
+        before = viol[active]
         # Rows of `active` still without an improving step.
         looking = np.ones(active.size, dtype=bool)
         step = _ASCENT_STEP
@@ -583,20 +582,14 @@ def search_ppt_entangled(
             cand = project(x, corr, gap)
             correction[rs] = corr
             trace = np.real(np.trace(cand, axis1=1, axis2=2))
-            collapsed = trace < 1e-12
-            if collapsed.any():
-                # Projection collapsed; that restart starts afresh from
-                # its own stream.
-                cand[collapsed] = fresh_starts(rs[collapsed])
-                trace[collapsed] = 1.0
-            cand /= trace[:, np.newaxis, np.newaxis]
+            collapsed = trace < 1e-12  # no trace: a rejected step
+            cand /= np.where(collapsed, 1.0, trace)[:, np.newaxis, np.newaxis]
             cand_viol, cand_vec = _violation(cand, dims, witness)
-            up = cand_viol > viol[rs]
+            up = (cand_viol > viol[rs]) & ~collapsed
             won = rs[up]
             last_move[won] = _frob_each(cand[up] - h[won])
             h[won] = cand[up]
             source[won] = x[up]
-            loose[won] = (gap[up] > _DYKSTRA_GAP) & ~collapsed[up]
             viol[won] = cand_viol[up]
             vec[won] = cand_vec[up]
             looking[rows[up]] = False
@@ -606,11 +599,10 @@ def search_ppt_entangled(
         # No step length improves the objective: stationary.
         converged[active[looking]] = True
         moved = active[~looking]
-        flat = viol[moved] - best[moved] < _PLATEAU_RELATIVE * np.maximum(
+        flat = viol[moved] - before[~looking] < _PLATEAU_RELATIVE * np.maximum(
             np.abs(viol[moved]), _PLATEAU_SCALE_FLOOR
         )
         plateau[moved] = np.where(flat, plateau[moved] + 1, 0)
-        best[moved] = np.maximum(best[moved], viol[moved])
         stalled = plateau[moved] >= _PLATEAU_EXIT
         converged[moved[stalled]] = True
         active = moved[~stalled]
@@ -618,10 +610,8 @@ def search_ppt_entangled(
     finish_started = time.perf_counter()
     ascent_sweeps = matrix_sweeps
     winner = int(np.argmax(viol))  # the first maximum: the lowest restart index
-    h = h[winner]
-    if loose[winner]:
-        h = project(source[winner], correction[winner])
-        h = h / np.real(np.trace(h))
+    h = project(source[winner], correction[winner])
+    h = h / np.real(np.trace(h))
     polish_started = time.perf_counter()
     h = project(h, gap=_FINISH_GAP)
     h = h / np.real(np.trace(h))

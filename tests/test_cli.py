@@ -460,7 +460,7 @@ def test_search_debug_summary_leaves_stdout_unchanged(capsys, caplog):
     assert len(summaries) == 1
     message = summaries[0].getMessage()
     assert "2 restarts" in message
-    # The ascent projects loosely, so the winner takes an exact finish.
+    # Every winner takes an exact finish.
     ascent, finish = summaries[0].args[4:6]
     assert ascent > 0 and finish > 0
     assert (
@@ -488,6 +488,40 @@ def test_oversized_restart_budget_exits_before_any_work(monkeypatch, capsys):
     assert main(["search-ppt-entangled", "choi3", "--budget-restarts", "5000"]) == 3
     err = capsys.readouterr().err
     assert err.count("at most 4096 restarts") == 2
+
+
+@pytest.mark.parametrize("witness", ["transpose16", "identity16"])
+def test_oversized_search_stack_exits_before_any_work(monkeypatch, capsys, witness):
+    import entanglecone.states
+
+    # Every draw starts from stream_words, and the witness checks are the
+    # search's first spectra.
+    for name in ("stream_words", "is_cp", "is_copositive", "_dykstra"):
+        monkeypatch.setattr(entanglecone.states, name, _refuse)
+    argv = ["search-ppt-entangled", witness, "--budget-restarts"]
+    assert main([*argv, "17"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "restarts*(n*m)^2 <= 1048576" in captured.err
+    # 16 restarts of side 256 fill the cap exactly, so that search starts.
+    with pytest.raises(AssertionError, match="restart work started"):
+        main([*argv, "16"])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["classify-map", "builtin:identity2"], ["search-ppt-entangled", "identity2"]],
+    ids=["classify-map", "search-ppt-entangled"],
+)
+def test_seed_outside_one_word_is_a_usage_error(capsys, command):
+    argv = [*command, "--budget-restarts", "1", "--budget-iters", "1", "--seed"]
+    for seed in (-1, 2**64):
+        assert main([*argv, str(seed)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be an integer in [0, 2^64)" in captured.err
+    code, out = _run(capsys, [*argv, str(2**64 - 1)])
+    assert code in (0, 4) and json.loads(out)
 
 
 def test_analyze_rejects_density_below_requested_slack(tmp_path, capsys):

@@ -10,6 +10,7 @@ from entanglecone import states
 from entanglecone.classify import (
     Budget,
     builtin_choi_map,
+    builtin_map,
     default_witness_library,
 )
 from entanglecone.duality import (
@@ -39,6 +40,7 @@ from entanglecone.linalg import (
 )
 from entanglecone.rng import stream_words
 from entanglecone.states import (
+    SEARCH_BUDGET,
     _dykstra,
     peres_equivalence,
     ppt_check,
@@ -649,6 +651,14 @@ def test_search_finds_ppt_entangled_state():
     assert abs((vec.conj() @ moved @ vec).real - low) < 1e-10
 
 
+def _start(stream, n):
+    """The unprojected search start a restart draws from its stream."""
+    mixed = random_product_mixture(stream, n, n, states._INIT_PRODUCT_TERMS)
+    h = (1.0 - states._INIT_INTERIOR_WEIGHT) * mixed
+    h += states._INIT_INTERIOR_WEIGHT * np.eye(n * n) / (n * n)
+    return h
+
+
 def _per_restart_search(witness, budget, seed):
     """Reference: each restart of search_ppt_entangled run on its own.
 
@@ -656,8 +666,9 @@ def _per_restart_search(witness, budget, seed):
     restart, h before the finish's last projection and resets the
     number of times progress cleared a nonzero plateau count. Each
     candidate is projected to the gap its step allows, and the violation
-    is that of the loosely projected state; h is the exact projection of
-    the candidate that state came from, the search's finish.
+    is that of the loosely projected state; a candidate whose projection
+    has no trace is a rejected step. h is the exact projection of the
+    start or candidate that state came from, the search's finish.
     """
     n = witness.dim_in
     dims = (n, n)
@@ -667,26 +678,23 @@ def _per_restart_search(witness, budget, seed):
         low, vec = min_eigenpair(hermitian_part(apply_to_second(h, dims, witness)))
         return -low, vec
 
-    def fresh_start(stream):
-        mixed = random_product_mixture(stream, n, n, states._INIT_PRODUCT_TERMS)
-        h = (1.0 - states._INIT_INTERIOR_WEIGHT) * mixed
-        h += states._INIT_INTERIOR_WEIGHT * np.eye(n * n) / (n * n)
-        h, _ = _dykstra(h, dims)
+    def normalised(h):
         return h / np.real(np.trace(h))
 
     runs = []
     for r in range(budget.restarts):
-        stream = derive_stream(seed, r)
-        h = fresh_start(stream)
+        source = _start(derive_stream(seed, r), n)
+        h = normalised(_dykstra(source, dims)[0])
         correction = np.zeros((n * n, n * n), dtype=complex)
         viol, vec = violation(h)
-        best, plateau, converged, steps, resets = viol, 0, False, 0, 0
-        last_move, source = np.inf, None
+        plateau, converged, steps, resets = 0, False, 0, 0
+        last_move = np.inf
         for _ in range(budget.iterations):
             steps += 1
             grad = -hermitian_part(
                 apply_to_second(np.outer(vec, vec.conj()), dims, adjoint)
             )
+            before = viol
             step = states._ASCENT_STEP
             for _ in range(states._MAX_HALVINGS):
                 x = h + step * grad
@@ -694,23 +702,19 @@ def _per_restart_search(witness, budget, seed):
                 gap = max(states._DYKSTRA_GAP, states._ASCENT_GAP_RATIO * delta)
                 cand, _ = _dykstra(x, dims, correction, gap)
                 trace = np.real(np.trace(cand))
-                collapsed = trace < 1e-12
-                if collapsed:
-                    cand, trace = fresh_start(stream), 1.0
-                cand = cand / trace
-                cand_viol, cand_vec = violation(cand)
-                if cand_viol > viol:
-                    last_move = states._frob_each(cand - h)
-                    h, viol, vec = cand, cand_viol, cand_vec
-                    loose = gap > states._DYKSTRA_GAP and not collapsed
-                    source = x if loose else None
-                    break
+                if trace >= 1e-12:
+                    cand = cand / trace
+                    cand_viol, cand_vec = violation(cand)
+                    if cand_viol > viol:
+                        last_move = states._frob_each(cand - h)
+                        h, viol, vec, source = cand, cand_viol, cand_vec, x
+                        break
                 step /= 2.0
             else:
                 converged = True
                 break
             scale = max(abs(viol), states._PLATEAU_SCALE_FLOOR)
-            if viol - best < states._PLATEAU_RELATIVE * scale:
+            if viol - before < states._PLATEAU_RELATIVE * scale:
                 plateau += 1
                 if plateau >= states._PLATEAU_EXIT:
                     converged = True
@@ -718,10 +722,7 @@ def _per_restart_search(witness, budget, seed):
             else:
                 resets += plateau > 0
                 plateau = 0
-            best = max(best, viol)
-        if source is not None:
-            h, _ = _dykstra(source, dims, correction)
-            h = h / np.real(np.trace(h))
+        h = normalised(_dykstra(source, dims, correction)[0])
         runs.append((viol, r, h, converged, steps, resets))
     return runs
 
@@ -792,40 +793,65 @@ def test_lockstep_search_resets_plateaus_like_per_restart_runs(monkeypatch):
     _assert_lockstep_matches(monkeypatch, witness, budget, runs)
 
 
-def test_collapsed_candidate_redraws_from_its_own_stream(monkeypatch):
+def test_collapsed_candidate_is_a_rejected_step(monkeypatch):
     dykstra = states._dykstra
-    fresh = []
-    planted = []
+    calls = []
 
     def collapsing(x, dims, correction=None, gap=None):
-        if correction is None and gap is None:
-            # The fresh starts are the only projections without a correction
-            # at the default gap; the finish's has no correction either.
-            fresh.append(x.copy())
         out, sweeps = dykstra(x, dims, correction, gap)
-        if correction is not None and not planted:
+        if correction is not None and gap is not None and len(calls) == 1:
             # The first ascent projection holds every restart in order.
             out[1] = 0.0
-            planted.append(True)
+        calls.append((x.copy(), correction is None and gap is None, out.copy()))
         return out, sweeps
 
     monkeypatch.setattr(states, "_dykstra", collapsing)
     result = search_ppt_entangled(
         builtin_choi_map(), Budget(restarts=3, iterations=2), seed=4
     )
-
-    def start(stream):
-        mixed = random_product_mixture(stream, 3, 3, states._INIT_PRODUCT_TERMS)
-        h = (1.0 - states._INIT_INTERIOR_WEIGHT) * mixed
-        h += states._INIT_INTERIOR_WEIGHT * np.eye(9) / 9
-        return h
-
-    streams = [derive_stream(4, r) for r in range(3)]
-    assert planted and len(fresh) == 2
-    assert np.array_equal(fresh[0], np.stack([start(s) for s in streams]))
-    # Restart 1 collapsed: its new start is the second draw of its stream.
-    assert np.array_equal(fresh[1], start(streams[1])[np.newaxis])
+    # The starts are drawn once: the only projection without a correction
+    # at the default gap; the finish's has a correction, its last a gap.
+    ((x, out),) = [(x, out) for x, fresh, out in calls if fresh]
+    want = np.stack([_start(derive_stream(4, r), 3) for r in range(3)])
+    assert np.array_equal(x, want)
+    # Restart 1's collapsed candidate is rejected: the next projection
+    # tries it again from the same state at half the step.
+    h1 = out[1] / np.real(np.trace(out[1]))
+    halved = (calls[1][0][1] - h1) / 2
+    assert any(np.allclose(row - h1, halved, rtol=0, atol=1e-15) for row in calls[2][0])
     assert result.iterations == 6
+
+
+_BUILTIN_WITNESSES = ["choi3"] + [
+    f"{kind}{n}" for kind in ("identity", "transpose") for n in range(1, 17)
+]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(_BUILTIN_WITNESSES),
+    seed=st.integers(0, 2**64 - 1),
+    restart=st.integers(0, SEARCH_BUDGET.restarts - 1),
+)
+@example(name="choi3", seed=0, restart=0)
+@example(name="identity16", seed=0, restart=15)
+@example(name="transpose3", seed=2**64 - 1, restart=0)
+def test_first_step_from_a_start_keeps_a_positive_pairing(name, seed, restart):
+    # x = h + step grad projects to zero only if x is polar to both
+    # cones, which needs <x, h> = ||h||^2 + step violation(h) <= 0. At
+    # the longest step that pairing stays positive from each start of a
+    # default-budget search, so no builtin witness collapses one.
+    witness = builtin_map(name)
+    n = witness.dim_in
+    dims = (n, n)
+    h, _ = _dykstra(_start(derive_stream(seed, restart), n), dims)
+    h /= np.real(np.trace(h))
+    _, vec = states._violation(h, dims, witness)
+    grad = -hermitian_part(
+        apply_to_second(np.outer(vec, vec.conj()), dims, map_adjoint(witness))
+    )
+    x = h + states._ASCENT_STEP * grad
+    assert np.real(np.vdot(h, x)) > 0.0
 
 
 def test_search_projects_the_winner_exactly_once(monkeypatch):
@@ -885,11 +911,10 @@ def test_search_logs_one_debug_summary(caplog):
     assert summary.getMessage().startswith("search choi3: 2 restarts")
     assert (restarts, steps, caps) == (2, result.iterations, 0)
     # One call for the starts, then at least one per lockstep ascent step,
-    # one for the winner's exact projection when it was projected loosely,
-    # and the finish's last projection, whose sweeps count toward the
-    # finish.
-    assert finish >= 1
-    assert calls >= 2 + -(-steps // restarts)
+    # and the finish's two: the winner's exact projection and its last
+    # projection, whose sweeps both count toward the finish.
+    assert finish >= 2
+    assert calls >= 3 + -(-steps // restarts)
     assert sweeps >= calls - 2
     # Four phases: start, ascent, finish and the last projection.
     assert len(summary.args[7:]) == 4

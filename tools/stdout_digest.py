@@ -4,17 +4,22 @@ Runs the first 100 ``search``, 200 ``classify`` and 400 ``states`` jobs
 of bench seed 7 from ``bench/jobs.py`` in-process through
 ``entanglecone.cli.main``, against the package found in ``--src``, then
 the same 400 ``states`` jobs and 200 ``classify`` jobs with
-``--tol-psd 1e-10``, and prints one line per run:
+``--tol-psd 1e-10``, then ``search`` jobs 1200 to 1259 of bench seed 42,
+and prints one line per run:
 
     <run> <jobs> <sha256 of every job's exit code and stdout>
 
-where the run is the workload's name, or ``states-tol1e-10`` and
-``classify-tol1e-10`` for the last two. The ``classify`` jobs at the
-non-default slack cover the witness battery that classify-map runs on
-the state of a completely positive map. With ``--per-job`` it prints one
-line per job instead:
+where the run is the workload's name, or ``states-tol1e-10``,
+``classify-tol1e-10`` and ``search-seed42`` for the last three. The
+``classify`` jobs at the non-default slack cover the witness battery
+that classify-map runs on the state of a completely positive map. Job
+1226 of seed 42 is a search whose winner's exact finish stops at the
+projection's iteration cap. With ``--per-job`` it prints one line per
+job instead:
 
     <run> <k> <sha256 of job k's exit code and stdout>
+
+with k the job's index in its seed's job list.
 
 Two trees print the same lines exactly when they give every job the
 same exit code and byte-identical stdout; the per-job lines say which
@@ -37,14 +42,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SEED = 7
-# (run, workload, jobs, arguments appended to every job's command line)
+# (run, workload, bench seed, job indices, arguments appended to every
+# job's command line)
 RUNS = (
-    ("search", "search", 100, []),
-    ("classify", "classify", 200, []),
-    ("states", "states", 400, []),
-    ("states-tol1e-10", "states", 400, ["--tol-psd", "1e-10"]),
-    ("classify-tol1e-10", "classify", 200, ["--tol-psd", "1e-10"]),
+    ("search", "search", 7, range(100), []),
+    ("classify", "classify", 7, range(200), []),
+    ("states", "states", 7, range(400), []),
+    ("states-tol1e-10", "states", 7, range(400), ["--tol-psd", "1e-10"]),
+    ("classify-tol1e-10", "classify", 7, range(200), ["--tol-psd", "1e-10"]),
+    ("search-seed42", "search", 42, range(1200, 1260), []),
 )
 
 
@@ -74,10 +80,10 @@ def _import_cli(src: Path):
     return cli
 
 
-def outputs(cli, jobs, workload: str, count: int, extra: list[str], path: Path):
+def outputs(cli, jobs, workload: str, seed: int, ks, extra: list[str], path: Path):
     """Each job's exit code line and stdout, as bytes, in job order."""
-    for k in range(count):
-        job = jobs.make_job(workload, SEED, k)
+    for k in ks:
+        job = jobs.make_job(workload, seed, k)
         if job.doc is not None:
             path.write_text(job.doc)
         argv = [str(path) if a == jobs.INPUT else a for a in job.argv] + extra
@@ -99,16 +105,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         # One fixed file name, so no path differs between two runs.
         path = Path(tmp) / "input.json"
-        for run, workload, count, extra in RUNS:
-            outs = outputs(cli, jobs, workload, count, extra, path)
+        for run, workload, seed, ks, extra in RUNS:
+            outs = outputs(cli, jobs, workload, seed, ks, extra, path)
             if args.per_job:
-                for k, out in enumerate(outs):
+                for k, out in zip(ks, outs):
                     print(f"{run} {k} {hashlib.sha256(out).hexdigest()}", flush=True)
             else:
                 h = hashlib.sha256()
                 for out in outs:
                     h.update(out)
-                print(f"{run} {count} {h.hexdigest()}", flush=True)
+                print(f"{run} {len(ks)} {h.hexdigest()}", flush=True)
     return 0
 
 
