@@ -44,6 +44,7 @@ from .linalg import (
     raise_first_fault,
     support_projection,
 )
+from .states import witness_battery
 
 logger = logging.getLogger(__name__)
 
@@ -440,9 +441,7 @@ def conditional_expectation_verdict(
     if isinstance(outcome, HolevoForm):
         return ExpectationReport(VERDICT_SEPARABLE, outcome, None, None)
 
-    from .states import witness_battery
-
-    # The battery checks the density at tol, as in classify_map.
+    # state_from_map checks the density at the default slack, the battery at tol.
     report = witness_battery(state_from_map(f), tol)
     if report.ppt and report.entanglement != "certified-entangled":
         raise NumericalError(

@@ -25,7 +25,6 @@ from .duality import (
     compose,
     identity_map,
     kraus_to_map,
-    state_from_map,
     transpose_map,
 )
 from .errors import DomainError, NumericalError
@@ -39,6 +38,7 @@ from .linalg import (
     is_psd,
     partial_transpose,
     psd_floor,
+    psd_verdicts,
 )
 from .rng import complex_unit_vectors, random_unitary, stream_words
 
@@ -262,8 +262,8 @@ def is_copositive(
 ) -> tuple[bool, np.ndarray | None]:
     """Copositivity: the partial transpose of the Choi matrix is PSD.
 
-    That array is also the Choi matrix of the transpose-composed map,
-    so complete positivity of post_transpose(f) is the same test.
+    That array is also the Choi matrix of compose(transpose_map(m), f),
+    so complete positivity of that map is the same test.
     """
     return is_psd(partial_transpose(f.choi, (f.dim_in, f.dim_out), "second"), tol)
 
@@ -318,14 +318,17 @@ def classify_map(
         eb_verdict = EB_SEPARABLE
         eb_certificate = f.holevo
     else:
-        from .states import witness_battery
-
-        # The battery checks the density at tol itself; state_from_map
-        # checking it there too would take the same spectrum twice.
-        report = witness_battery(state_from_map(f), tol)
-        if report.entanglement == "certified-entangled":
+        # The functional's state C^T is PSD at tol exactly when C is, as
+        # is_cp decided, and is the library's identity output; the EB
+        # witnesses are the entries after the identity, read on C^T.
+        library = default_witness_library(f.dim_out)
+        dims = (f.dim_in, f.dim_out)
+        outputs = library.outputs(f.choi.T.copy(), dims, slice(1, None))
+        ok, _, _ = psd_verdicts(outputs, tol)
+        failing = np.flatnonzero(~ok)
+        if failing.size:
             eb_verdict = EB_ENTANGLED
-            eb_witness_name = report.certificate_name
+            eb_witness_name = library.entries[1 + failing[0]][0]
 
     return MapClassReport(
         dim_in=f.dim_in,
@@ -371,10 +374,9 @@ def builtin_choi_map() -> MatrixMap:
 
 @dataclass(eq=False)
 class WitnessLibrary:
-    """Named positive maps applied as id (x) psi in the state battery.
-
-    ``choi4`` stacks the entries' Choi tensors in order, read-only, so
-    the battery evaluates and diagonalises every entry in one pass.
+    """Named positive maps applied as id (x) psi to states, by the state
+    battery and by classify_map. ``choi4`` stacks the entries' Choi
+    tensors in order, read-only, so outputs evaluates them in one pass.
     """
 
     entries: tuple[tuple[str, MatrixMap], ...]
@@ -384,6 +386,18 @@ class WitnessLibrary:
         self.choi4 = np.stack([f.choi4() for _, f in self.entries])
         self.choi4.flags.writeable = False
 
+    def outputs(
+        self, density: np.ndarray, dims: tuple[int, int], entries: slice = slice(None)
+    ) -> np.ndarray:
+        """The Hermitian part of (id (x) phi)(density) for each map phi of
+        the slice ``entries`` of the library, stacked in order, each as
+        apply_to_second evaluates it."""
+        n, m = dims
+        choi4 = self.choi4[entries]
+        out = np.einsum("ikjl,skalb->siajb", density.reshape(n, m, n, m), choi4)
+        p = choi4.shape[-1]
+        return hermitian_part(out.reshape(len(choi4), n * p, n * p))
+
 
 @functools.lru_cache(maxsize=8)
 def default_witness_library(m: int) -> WitnessLibrary:
@@ -391,7 +405,8 @@ def default_witness_library(m: int) -> WitnessLibrary:
 
     Always starts with identity{m} and transpose{m}, in that order: the
     state battery reads their outputs as its density check and its PPT
-    verdict. For m = 3 it adds
+    verdict, and classify_map, whose CP verdict is the density check,
+    reads the entries after the identity. For m = 3 it adds
     the builtin witness map, a composition with the transpose, and two
     unitary twists a phi(b x b*) a*, which stay positive and widen the
     set of detectable states. Every entry is positive by construction;

@@ -171,14 +171,13 @@ def _budget(args) -> Budget:
     return Budget(restarts=args.budget_restarts, iterations=args.budget_iters)
 
 
-def _emit(doc: dict, args) -> None:
-    text = to_text(doc) if args.format == "text" else dumps(doc)
-    print(text)
-    if args.out and args.command != "search-ppt-entangled":
-        if args.format == "text":
-            text = dumps(doc)
+def _emit(doc: dict, args, saved: dict | None = None) -> None:
+    """Print doc in the chosen format; with --out, also write saved, doc
+    itself unless given, to that file as JSON."""
+    print(to_text(doc) if args.format == "text" else dumps(doc))
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+            handle.write(dumps(doc if saved is None else saved) + "\n")
 
 
 def _cmd_choi(args) -> int:
@@ -230,10 +229,7 @@ def _cmd_search(args) -> int:
         tol=_tolerances(args),
         witness_name=args.witness,
     )
-    _emit(report_to_json(result), args)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dumps(state_to_json(result.state)) + "\n")
+    _emit(report_to_json(result), args, state_to_json(result.state))
     if result.violation >= FOUND_VIOLATION and result.converged:
         return EXIT_OK
     return EXIT_NOT_FOUND

@@ -29,7 +29,6 @@ from .linalg import (
     hermitian_deviation,
     is_psd,
     kron,
-    partial_transpose,
 )
 
 # Cap on n*m, the side of a map's Choi matrix, checked before the Choi
@@ -180,7 +179,9 @@ def apply_to_second(
 ) -> np.ndarray:
     """Evaluate (id (x) phi)(x) on an operator over M_n (x) M_m.
 
-    A stack ``(..., nm, nm)`` is mapped matrix by matrix.
+    A stack ``(..., nm, nm)`` is mapped matrix by matrix, to the last bit
+    of the one-matrix call only where, as for every builtin map, each
+    output entry is a sum of at most two nonzero terms.
     """
     n, m = dims
     if f.dim_in != m:
@@ -190,7 +191,9 @@ def apply_to_second(
     a = as_matrix(x, stacked=True)
     lead = a.shape[:-2]
     x4 = a.reshape(lead + (n, m, n, m))
-    out4 = np.einsum("...ikjl,kalb->...iajb", x4, f.choi4())
+    # A stack takes numpy's path search: 0.04 against 0.9 s on 16 256x256
+    # with identity16; on one 9x9 matrix it would take 46 against 11 us.
+    out4 = np.einsum("...ikjl,kalb->...iajb", x4, f.choi4(), optimize=bool(lead))
     p = f.dim_out
     return out4.reshape(lead + (n * p, n * p))
 
@@ -204,25 +207,6 @@ def map_adjoint(f: MatrixMap) -> MatrixMap:
     """
     d4 = f.choi4().transpose(3, 2, 1, 0)
     return MatrixMap(f.dim_out, f.dim_in, d4.reshape(f.dim_in * f.dim_out, -1))
-
-
-def post_transpose(f: MatrixMap) -> MatrixMap:
-    """The composition t . phi; its Choi matrix is the partial transpose
-    of C_phi on the output factor."""
-    choi = partial_transpose(f.choi, (f.dim_in, f.dim_out), "second")
-    return MatrixMap(f.dim_in, f.dim_out, choi)
-
-
-def pre_transpose(f: MatrixMap) -> MatrixMap:
-    """The composition phi . t, partial transpose on the input factor."""
-    choi = partial_transpose(f.choi, (f.dim_in, f.dim_out), "first")
-    return MatrixMap(f.dim_in, f.dim_out, choi)
-
-
-def map_transpose_conjugate(f: MatrixMap) -> MatrixMap:
-    """The map t . phi . t; its Choi matrix is the full transpose of
-    C_phi, exactly entry for entry."""
-    return MatrixMap(f.dim_in, f.dim_out, f.choi.T.copy())
 
 
 def compose(g: MatrixMap, f: MatrixMap) -> MatrixMap:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK = (1 << 64) - 1
+from .errors import DomainError
+
 _GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -33,11 +34,14 @@ def stream_words(seed: int, indices) -> np.ndarray:
     mix decorrelates neighbouring indices and neighbouring seeds. A
     stream's state after k draws is its word plus k gamma, so next_floats
     advances each word by the number of draws it made, and a stream
-    drawn from twice continues where it stopped.
+    drawn from twice continues where it stopped. A seed outside
+    [0, 2^64) raises DomainError rather than alias one mod 2^64.
     """
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be in [0, 2^64), got {seed}")
     # (index + 1) gamma wraps mod 2^64.
     index = (np.asarray(indices, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
-    return _mix_words(np.uint64(seed & _MASK) ^ _mix_words(index))
+    return _mix_words(np.uint64(seed) ^ _mix_words(index))
 
 
 def next_floats(words: np.ndarray, count: int) -> np.ndarray:

@@ -75,15 +75,6 @@ _FINISH_GAP = 1e-12
 SEARCH_BUDGET = Budget(restarts=16, iterations=200)
 
 
-def _second_factor_outputs(s: BipartiteState, choi4: np.ndarray) -> np.ndarray:
-    """The Hermitian part of (id (x) phi)(rho) for every map phi of a stack
-    of Choi tensors (L, m, p, m, p), each as apply_to_second evaluates it."""
-    n, m = s.dims
-    out = np.einsum("ikjl,skalb->siajb", s.density.reshape(n, m, n, m), choi4)
-    p = choi4.shape[-1]
-    return hermitian_part(out.reshape(len(choi4), n * p, n * p))
-
-
 def ppt_check(
     s: BipartiteState, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, np.ndarray | None]:
@@ -144,7 +135,7 @@ def witness_battery(
     and the test suite checks the theorem with it.
     """
     library = default_witness_library(s.dims[1])
-    ok, low, vec = psd_verdicts(_second_factor_outputs(s, library.choi4), tol)
+    ok, low, vec = psd_verdicts(library.outputs(s.density, s.dims), tol)
     # BipartiteState checked PSD at the default slack; the hits below use
     # tol's, so a density that dips below that slack is no state.
     if not ok[0]:

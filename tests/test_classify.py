@@ -23,22 +23,25 @@ from entanglecone.duality import (
     MatrixMap,
     apply_map,
     choi_from_action,
+    compose,
     holevo_to_map,
     identity_map,
     kraus_to_map,
-    map_transpose_conjugate,
     maximally_entangled_matrix,
+    state_from_map,
     transpose_map,
 )
 from entanglecone.errors import DomainError, NumericalError
 from entanglecone.linalg import (
     CONVERGENCE,
     DEFAULT_TOL,
+    Tolerances,
     frob,
     hermitian_part,
     kron,
     partial_transpose,
 )
+from entanglecone.states import witness_battery
 from reference import (
     derive_stream,
     gaussian_complex_matrix,
@@ -96,11 +99,9 @@ def test_cp_copositive_compose_identity():
         builtin_choi_map(),
         kraus_to_map([gaussian_complex_matrix(stream, 2, 2)]),
     ]
-    from entanglecone.duality import post_transpose
-
     for f in maps:
         cp_f, _ = is_cp(f)
-        cop_tf, _ = is_copositive(post_transpose(f))
+        cop_tf, _ = is_copositive(compose(transpose_map(f.dim_out), f))
         assert cp_f == cop_tf
 
 
@@ -227,8 +228,8 @@ def test_classify_holevo_is_separable_choi():
 
 
 def test_classify_cp_map_diagonalises_c_and_its_partial_transpose_once(eigh_inputs):
-    # is_cp and is_copositive diagonalise C and PT2(C); the battery's
-    # state is C^T, whose library outputs are neither of them.
+    # is_cp and is_copositive diagonalise C and PT2(C); the EB witnesses
+    # read C^T, whose library outputs are neither of them.
     stream = derive_stream(305, 0)
     f = kraus_to_map([gaussian_complex_matrix(stream, 3, 3) for _ in range(2)])
     eigh_inputs.clear()
@@ -238,6 +239,29 @@ def test_classify_cp_map_diagonalises_c_and_its_partial_transpose_once(eigh_inpu
     pt = partial_transpose(f.choi, (3, 3), "second")
     for x in (f.choi, pt):
         assert sum(np.array_equal(a, hermitian_part(x)) for a in matrices) == 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 3),
+    m=st.sampled_from([2, 3]),
+    ops=st.integers(1, 6),
+    slack=st.sampled_from([DEFAULT_TOL.psd_slack, 1e-10]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eb_verdict_equals_the_battery_on_the_maps_state(n, m, ops, slack, seed):
+    # classify_map reads the EB witnesses on C^T without building the
+    # state; the battery on state_from_map(f) is the reference route.
+    stream = derive_stream(seed, 0)
+    f = kraus_to_map([gaussian_complex_matrix(stream, m, n) for _ in range(ops)])
+    tol = Tolerances(slack)
+    report = classify_map(f, Budget(restarts=1, iterations=5), tol=tol)
+    battery = witness_battery(state_from_map(f), tol)
+    if battery.entanglement == "certified-entangled":
+        assert report.eb_verdict == "certified-entangled-choi"
+    else:
+        assert report.eb_verdict == "inconclusive"
+    assert report.eb_witness_name == battery.certificate_name
 
 
 def test_classify_random_holevo_cp_and_copositive():
@@ -303,7 +327,8 @@ def test_default_witness_library_contents():
     # The builtin map's transpose conjugate is no entry: its Choi matrix is
     # real symmetric, so that map is the builtin map, bit for bit.
     base = builtin_choi_map()
-    assert np.array_equal(map_transpose_conjugate(base).choi, base.choi)
+    t = transpose_map(3)
+    assert np.array_equal(compose(t, compose(base, t)).choi, base.choi)
 
 
 @pytest.mark.parametrize(

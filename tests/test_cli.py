@@ -123,6 +123,28 @@ def test_classify_transpose(capsys):
     assert abs(doc["block_min"]) < 1e-9
 
 
+def test_classify_decides_cp_at_the_requested_slack(tmp_path, capsys):
+    # identity3's Choi matrix with its bottom eigenvalue lowered by 3e-7:
+    # not CP at the default slack (floor -3e-9), CP at 1e-6 (floor -3e-6),
+    # where its state is entangled and the transpose detects it.
+    dip = np.zeros(9)
+    dip[1] = 3e-7
+    f = MatrixMap(3, 3, maximally_entangled_matrix(3) - np.diag(dip))
+    path = _write(tmp_path / "dip.json", map_to_json(f))
+    argv = ["classify-map", path, "--budget-restarts", "2", "--budget-iters", "20"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["cp"] is False
+    assert report["eb_verdict"] == "not-applicable"
+    code, out = _run(capsys, [*argv, "--tol-psd", "1e-6"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["cp"] is True
+    assert report["eb_verdict"] == "certified-entangled-choi"
+    assert report["eb_witness_name"] == "transpose3"
+
+
 def test_classify_out_file_matches_stdout(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out = _run(

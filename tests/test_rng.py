@@ -1,10 +1,18 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entanglecone import classify
-from entanglecone.classify import builtin_choi_map, default_witness_library
+from entanglecone.classify import (
+    Budget,
+    block_positivity_minimize,
+    builtin_choi_map,
+    classify_map,
+    default_witness_library,
+)
 from entanglecone.duality import compose, kraus_to_map
+from entanglecone.errors import DomainError
 from entanglecone.rng import (
     complex_unit_vectors,
     gaussian_complex_matrix,
@@ -12,6 +20,7 @@ from entanglecone.rng import (
     random_unitary,
     stream_words,
 )
+from entanglecone.states import search_ppt_entangled
 import reference
 from reference import VIGNA_OUTPUTS, VIGNA_SEED, SplitMix64, derive_stream, random_density
 
@@ -171,3 +180,31 @@ def test_set_up_draws_match_the_oracle():
     library = dict(default_witness_library(3).entries)
     for k, want in zip((1, 2), twists):
         assert library[f"choi3-twist{k}"].choi.tobytes() == want.choi.tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_outside_one_word_raise(seed):
+    # Reduced mod 2^64, such a seed would alias another seed's streams.
+    choi3 = builtin_choi_map()
+    budget = Budget(1, 1)
+    with pytest.raises(DomainError, match=r"seed must be in \[0, 2\^64\)"):
+        search_ppt_entangled(choi3, budget, seed=seed)
+    with pytest.raises(DomainError, match=r"seed must be in \[0, 2\^64\)"):
+        classify_map(choi3, budget, seed=seed)
+    with pytest.raises(DomainError, match=r"seed must be in \[0, 2\^64\)"):
+        block_positivity_minimize(choi3.choi, (3, 3), budget, seed=seed)
+
+
+def test_top_seed_keeps_its_streams():
+    # The words 2^64 - 1 had when every seed was reduced mod 2^64.
+    words = stream_words(2**64 - 1, [0, 1, 2])
+    assert [int(w) for w in words] == [
+        17492683508065611904,
+        11305189083003979001,
+        6136805500546321909,
+    ]
+    choi3 = builtin_choi_map()
+    budget = Budget(1, 1)
+    assert search_ppt_entangled(choi3, budget, seed=2**64 - 1).seed == 2**64 - 1
+    classify_map(choi3, budget, seed=2**64 - 1)
+    block_positivity_minimize(choi3.choi, (3, 3), budget, seed=2**64 - 1)

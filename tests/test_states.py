@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from entanglecone import states
 from entanglecone.classify import (
     Budget,
+    WitnessLibrary,
     builtin_choi_map,
     builtin_map,
     default_witness_library,
@@ -18,13 +19,13 @@ from entanglecone.duality import (
     HolevoForm,
     MatrixMap,
     apply_to_second,
+    compose,
     holevo_to_map,
     identity_map,
     kraus_to_map,
     map_adjoint,
     map_from_state,
     maximally_entangled,
-    post_transpose,
     state_from_map,
     transpose_map,
 )
@@ -134,13 +135,15 @@ def test_battery_diagonalises_each_partial_transpose_once(eigh_inputs):
         assert report.peres_crosscheck
 
 
-def _assert_one_map_at_a_time(s, choi4):
-    """The stacked pass over the Choi tensors choi4 equals, bit for bit,
-    the verdicts of each map's own apply_to_second output."""
-    stacked = psd_verdicts(states._second_factor_outputs(s, choi4))
-    m = s.dims[1]
-    for i, c4 in enumerate(choi4):
-        psi = MatrixMap(m, m, c4.reshape(m * m, m * m))
+def _assert_one_map_at_a_time(s, library):
+    """The library's stacked pass equals, bit for bit, the verdicts of
+    each map's own apply_to_second output, also over the entries after
+    the first, as classify_map reads them."""
+    stacked = psd_verdicts(library.outputs(s.density, s.dims))
+    tail = psd_verdicts(library.outputs(s.density, s.dims, slice(1, None)))
+    for got, want in zip(tail, stacked):
+        assert got.tobytes() == want[1:].tobytes()
+    for i, (_, psi) in enumerate(library.entries):
         single = psd_verdicts(hermitian_part(apply_to_second(s.density, s.dims, psi)))
         for got, want in zip(stacked, single):
             assert got[i].tobytes() == want.tobytes()
@@ -157,8 +160,7 @@ def _assert_one_map_at_a_time(s, choi4):
 def test_library_pass_equals_one_map_at_a_time(n, m, rank, seed):
     h = random_pure_mixture(derive_stream(seed, 0), n * m, rank)
     s = BipartiteState((n, m), h)
-    entries = default_witness_library(m).entries
-    _assert_one_map_at_a_time(s, np.stack([psi.choi4() for _, psi in entries]))
+    _assert_one_map_at_a_time(s, default_witness_library(m))
 
 
 def _bits(x):
@@ -244,12 +246,14 @@ def test_copositive_maps_keep_ppt_states_positive(n, m, kind, noise, ops, seed):
     s = BipartiteState((n, m), h)
     assert ppt_check(s)[0]
     maps = [
-        post_transpose(
-            kraus_to_map([gaussian_complex_matrix(stream, m, m) for _ in range(ops)])
+        compose(
+            transpose_map(m),
+            kraus_to_map([gaussian_complex_matrix(stream, m, m) for _ in range(ops)]),
         )
         for _ in range(4)
     ]
-    ok, low, _ = _assert_one_map_at_a_time(s, np.stack([f.choi4() for f in maps]))
+    library = WitnessLibrary(tuple((f"map{k}", f) for k, f in enumerate(maps)))
+    ok, low, _ = _assert_one_map_at_a_time(s, library)
     assert ok.all(), low
 
 
