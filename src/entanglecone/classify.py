@@ -321,14 +321,11 @@ def classify_map(
         # The functional's state C^T is PSD at tol exactly when C is, as
         # is_cp decided, and is the library's identity output; the EB
         # witnesses are the entries after the identity, read on C^T.
-        library = default_witness_library(f.dim_out)
-        dims = (f.dim_in, f.dim_out)
-        outputs = library.outputs(f.choi.T.copy(), dims, slice(1, None))
-        ok, _, _ = psd_verdicts(outputs, tol)
-        failing = np.flatnonzero(~ok)
-        if failing.size:
+        *_, eb_witness_name = default_witness_library(f.dim_out).verdicts(
+            f.choi.T.copy(), (f.dim_in, f.dim_out), tol, slice(1, None)
+        )
+        if eb_witness_name is not None:
             eb_verdict = EB_ENTANGLED
-            eb_witness_name = library.entries[1 + failing[0]][0]
 
     return MapClassReport(
         dim_in=f.dim_in,
@@ -376,7 +373,7 @@ def builtin_choi_map() -> MatrixMap:
 class WitnessLibrary:
     """Named positive maps applied as id (x) psi to states, by the state
     battery and by classify_map. ``choi4`` stacks the entries' Choi
-    tensors in order, read-only, so outputs evaluates them in one pass.
+    tensors in order, read-only, so verdicts evaluates them in one pass.
     """
 
     entries: tuple[tuple[str, MatrixMap], ...]
@@ -386,17 +383,26 @@ class WitnessLibrary:
         self.choi4 = np.stack([f.choi4() for _, f in self.entries])
         self.choi4.flags.writeable = False
 
-    def outputs(
-        self, density: np.ndarray, dims: tuple[int, int], entries: slice = slice(None)
-    ) -> np.ndarray:
-        """The Hermitian part of (id (x) phi)(density) for each map phi of
-        the slice ``entries`` of the library, stacked in order, each as
-        apply_to_second evaluates it."""
+    def verdicts(
+        self,
+        density: np.ndarray,
+        dims: tuple[int, int],
+        tol: Tolerances = DEFAULT_TOL,
+        entries: slice = slice(None),
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str | None]:
+        """psd_verdicts at tol of the Hermitian part of (id (x) phi)(density)
+        for each map phi of the slice ``entries``, each as apply_to_second
+        evaluates it, and the name of the first entry that fails, or None:
+        the certificate the state battery and classify_map report."""
         n, m = dims
         choi4 = self.choi4[entries]
         out = np.einsum("ikjl,skalb->siajb", density.reshape(n, m, n, m), choi4)
         p = choi4.shape[-1]
-        return hermitian_part(out.reshape(len(choi4), n * p, n * p))
+        out = hermitian_part(out.reshape(len(choi4), n * p, n * p))
+        ok, low, vec = psd_verdicts(out, tol)
+        failing = np.flatnonzero(~ok)
+        first = self.entries[entries][failing[0]][0] if failing.size else None
+        return ok, low, vec, first
 
 
 @functools.lru_cache(maxsize=8)

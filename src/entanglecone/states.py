@@ -33,7 +33,6 @@ from .linalg import (
     is_psd,
     kron,
     partial_transpose,
-    psd_verdicts,
     transpose_second,
 )
 from .rng import gaussians, next_floats, stream_words, unit_rows
@@ -135,7 +134,7 @@ def witness_battery(
     and the test suite checks the theorem with it.
     """
     library = default_witness_library(s.dims[1])
-    ok, low, vec = psd_verdicts(library.outputs(s.density, s.dims), tol)
+    ok, low, vec, first = library.verdicts(s.density, s.dims, tol)
     # BipartiteState checked PSD at the default slack; the hits below use
     # tol's, so a density that dips below that slack is no state.
     if not ok[0]:
@@ -158,7 +157,7 @@ def witness_battery(
         cert_name, cert_vec, cert_val = None, None, None
     elif hits:
         verdict = CERTIFIED_ENTANGLED
-        cert_name = hits[0].name
+        cert_name = first
         cert_vec = hits[0].eigenvector
         cert_val = hits[0].eigenvalue
     else:

@@ -145,6 +145,19 @@ def test_classify_decides_cp_at_the_requested_slack(tmp_path, capsys):
     assert report["eb_witness_name"] == "transpose3"
 
 
+def test_classify_zero_map_is_inconclusive(tmp_path, capsys):
+    # The zero map is CP and copositive. Its functional's matrix is 0, so
+    # every witness output is 0 and passes: the EB verdict stays open, and
+    # the empty functional is not rejected as a state would be.
+    path = _write(tmp_path / "zero.json", map_to_json(MatrixMap(2, 2, np.zeros((4, 4)))))
+    code, out = _run(capsys, ["classify-map", path, "--budget-restarts", "2"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["cp"] is True and report["copositive"] is True
+    assert report["eb_verdict"] == "inconclusive"
+    assert report["eb_witness_name"] is None
+
+
 def test_classify_out_file_matches_stdout(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out = _run(

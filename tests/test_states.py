@@ -138,11 +138,16 @@ def test_battery_diagonalises_each_partial_transpose_once(eigh_inputs):
 def _assert_one_map_at_a_time(s, library):
     """The library's stacked pass equals, bit for bit, the verdicts of
     each map's own apply_to_second output, also over the entries after
-    the first, as classify_map reads them."""
-    stacked = psd_verdicts(library.outputs(s.density, s.dims))
-    tail = psd_verdicts(library.outputs(s.density, s.dims, slice(1, None)))
+    the first, as classify_map reads them; each pass names its first
+    failing entry."""
+    *stacked, first = library.verdicts(s.density, s.dims)
+    *tail, tail_first = library.verdicts(s.density, s.dims, DEFAULT_TOL, slice(1, None))
     for got, want in zip(tail, stacked):
         assert got.tobytes() == want[1:].tobytes()
+    names = [name for name, _ in library.entries]
+    failing = [name for name, ok in zip(names, stacked[0]) if not ok]
+    assert first == (failing[0] if failing else None)
+    assert tail_first == next((n for n in failing if n != names[0]), None)
     for i, (_, psi) in enumerate(library.entries):
         single = psd_verdicts(hermitian_part(apply_to_second(s.density, s.dims, psi)))
         for got, want in zip(stacked, single):
