@@ -304,11 +304,6 @@ def maximally_entangled_matrix(n: int) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def maximally_entangled(n: int) -> BipartiteState:
-    """Normalized maximally entangled state P/n on M_n (x) M_n."""
-    return BipartiteState((n, n), maximally_entangled_matrix(n) / n)
-
-
 def identity_map(n: int) -> MatrixMap:
     """The identity on M_n; its Choi matrix is n times the maximally
     entangled projection."""

@@ -59,8 +59,8 @@ _PLATEAU_SCALE_FLOOR = 1e-3
 _DYKSTRA_ITERATIONS = 500
 _DYKSTRA_GAP = DEFAULT_TOL.psd_slack
 # The ascent projects each candidate only to a gap of this fraction of
-# the restart's step length, and never below _DYKSTRA_GAP. On 100
-# benchmark searches (8 restarts x 1 step), 2e-3 moved 6 reported
+# the trial step's length step ||grad||_F, and never below _DYKSTRA_GAP.
+# On 100 benchmark searches (8 restarts x 1 step), 2e-3 moved 6 reported
 # violations by 2e-5 to 1.5e-4 against exact projections; 1e-3 moved
 # none by more than 7e-10.
 _ASCENT_GAP_RATIO = 1e-3
@@ -177,21 +177,6 @@ def witness_battery(
         hits=tuple(hits),
         peres_crosscheck=True,
     )
-
-
-def witness_pairing(s: BipartiteState, f: MatrixMap) -> float:
-    """The scalar pairing Tr(h C_phi).
-
-    Nonnegative whenever h is separable and phi is a positive map; the
-    detecting quantity for entanglement is the output eigenvalue, not
-    this number.
-    """
-    n, m = s.dims
-    if (f.dim_in, f.dim_out) != (n, m):
-        raise DimensionError(
-            f"map dims ({f.dim_in}, {f.dim_out}) do not match state dims {s.dims}"
-        )
-    return float(np.real(np.trace(s.density @ f.choi)))
 
 
 def peres_equivalence(s: BipartiteState, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -471,27 +456,27 @@ def search_ppt_entangled(
     impossible; the ascent then stalls at zero and the caller sees a
     non-finding result rather than an error.
 
-    The fresh starts are projected exactly, but each ascent candidate
-    only as tightly as its step needs (inexact projected gradient, as in
-    Birgin, Martinez & Raydan, IMA J. Numer. Anal. 23, 2003): to the gap
-    max(_DYKSTRA_GAP, _ASCENT_GAP_RATIO delta), with delta the smaller
-    of the restart's last accepted move and the trial step's length,
-    both Frobenius. So the gap is loose on the first, cold step and
-    exact once the steps are short. A loosely projected candidate is
-    PT-PSD exactly but only PSD to within its gap r (see _dykstra), so
-    its violation, which the acceptance test compares, may exceed its
-    value at a feasible point by O(r). A restart's state is always the
-    normalised projection of its source, its start or last accepted
-    candidate; a candidate whose projection has no trace is a rejected
-    step. Only the winner's state is reported: its source is projected
-    once more, exactly, from the restart's correction, then to the
-    relative gap _FINISH_GAP, each time normalised, and the reported
+    A start, a product mixture plus _INIT_INTERIOR_WEIGHT I/d, lies
+    strictly inside both cones and gets no projection. Each ascent
+    candidate is projected only as tightly as its step needs (inexact
+    projected gradient, as in Birgin, Martinez & Raydan, IMA J. Numer.
+    Anal. 23, 2003): to the gap max(_DYKSTRA_GAP, _ASCENT_GAP_RATIO
+    step ||grad||_F), loose on long trial steps and exact once they are
+    short. A loosely projected candidate is PT-PSD exactly but only PSD
+    to within its gap r (see _dykstra), so its violation, which the
+    acceptance test compares, may exceed its value at a feasible point
+    by O(r). A restart's state is its normalised start or the normalised
+    projection of its last accepted candidate; a candidate whose
+    projection has no trace is a rejected step. Only the winner's state
+    is reported: its source, the start or that candidate, is projected
+    exactly from the restart's correction, then to the relative gap
+    _FINISH_GAP, each time normalised, and the reported
     violation comes from the checked hermitian_eigen. A search with
     restarts (n m)^2 above MAX_ENSEMBLE_ENTRIES raises DimensionError.
 
     One DEBUG line on the module logger reports the restarts, ascent
-    steps, stacked projection calls, the matrix-sweeps of the start and
-    ascent and those of the winner's finish, cap hits, and the wall time
+    steps, stacked projection calls, the matrix-sweeps of the ascent and
+    those of the winner's finish, cap hits, and the wall time
     of the start, ascent, finish and polish phases; the polish is the
     projection to _FINISH_GAP, and its sweeps count toward the finish.
     """
@@ -535,20 +520,20 @@ def search_ppt_entangled(
     source = random_product_mixtures(words, n, m, _INIT_PRODUCT_TERMS)
     source *= 1.0 - _INIT_INTERIOR_WEIGHT
     source += _INIT_INTERIOR_WEIGHT * np.eye(d) / d
-    h = project(source)
-    h /= np.real(np.trace(h, axis1=1, axis2=2))[:, np.newaxis, np.newaxis]
+    # Every eigenvalue of the start and of its PT is at least
+    # _INIT_INTERIOR_WEIGHT / d, so it needs no projection.
+    h = source / np.real(np.trace(source, axis1=1, axis2=2))[:, np.newaxis, np.newaxis]
     correction = np.zeros((restarts, d, d), dtype=np.complex128)
-    last_move = np.full(restarts, np.inf)
     viol, vec = _violation(h, dims, witness)
     plateau = np.zeros(restarts, dtype=np.int64)
     converged = np.zeros(restarts, dtype=bool)
-    iterations = np.zeros(restarts, dtype=np.int64)
+    steps = 0
     active = np.arange(restarts)
     ascent_started = time.perf_counter()
     for _ in range(budget.iterations):
         if active.size == 0:
             break
-        iterations[active] += 1
+        steps += active.size
         va = vec[active]
         grad = -hermitian_part(
             apply_to_second(
@@ -566,8 +551,7 @@ def search_ppt_entangled(
             rows = np.flatnonzero(looking)
             rs = active[rows]
             x = h[rs] + step * grad[rows]
-            delta = np.minimum(last_move[rs], step * grad_norm[rows])
-            gap = np.maximum(_DYKSTRA_GAP, _ASCENT_GAP_RATIO * delta)
+            gap = np.maximum(_DYKSTRA_GAP, _ASCENT_GAP_RATIO * (step * grad_norm[rows]))
             corr = correction[rs]
             cand = project(x, corr, gap)
             correction[rs] = corr
@@ -577,7 +561,6 @@ def search_ppt_entangled(
             cand_viol, cand_vec = _violation(cand, dims, witness)
             up = (cand_viol > viol[rs]) & ~collapsed
             won = rs[up]
-            last_move[won] = _frob_each(cand[up] - h[won])
             h[won] = cand[up]
             source[won] = x[up]
             viol[won] = cand_viol[up]
@@ -609,11 +592,11 @@ def search_ppt_entangled(
     w, _ = hermitian_eigen(hermitian_part(apply_to_second(h, dims, witness)))
     logger.debug(
         "search %s: %d restarts, %d ascent steps, %d projection calls, "
-        "%d matrix-sweeps in the start and ascent, %d in the finish, "
+        "%d matrix-sweeps in the ascent, %d in the finish, "
         "%d cap hits; start %.3f s, ascent %.3f s, finish %.3f s, polish %.3f s",
         witness_name,
         restarts,
-        int(iterations.sum()),
+        steps,
         calls,
         ascent_sweeps,
         matrix_sweeps - ascent_sweeps,
@@ -626,7 +609,7 @@ def search_ppt_entangled(
     return SearchResult(
         state=BipartiteState(dims, h),
         violation=-float(w[-1]),
-        iterations=int(iterations.sum()),
+        iterations=steps,
         converged=bool(converged[winner]),
         seed=seed,
         witness_name=witness_name,

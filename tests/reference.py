@@ -18,9 +18,7 @@ from entanglecone.duality import (
     MatrixMap,
     apply_map,
     apply_to_second,
-    map_adjoint,
     map_from_state,
-    maximally_entangled_matrix,
 )
 from entanglecone.errors import DomainError, NumericalError
 from entanglecone.linalg import (
@@ -179,13 +177,6 @@ def verify_block_value(f: MatrixMap, x: np.ndarray, y: np.ndarray) -> float:
     """Re-evaluate <x (x) y, C (x (x) y)> for certificate checking."""
     prod = np.kron(x, y)
     return float(np.real(prod.conj() @ f.choi @ prod))
-
-
-def pairing_via_adjoint(s: BipartiteState, f: MatrixMap) -> float:
-    """The pairing Tr(h C_phi) computed as Tr((id (x) phi*)(h) P)."""
-    n = s.dims[0]
-    moved = apply_to_second(s.density, s.dims, map_adjoint(f))
-    return float(np.real(np.trace(moved @ maximally_entangled_matrix(n))))
 
 
 def ensemble_to_json(ens) -> dict:

@@ -498,10 +498,7 @@ def test_search_debug_summary_leaves_stdout_unchanged(capsys, caplog):
     # Every winner takes an exact finish.
     ascent, finish = summaries[0].args[4:6]
     assert ascent > 0 and finish > 0
-    assert (
-        f"{ascent} matrix-sweeps in the start and ascent, {finish} in the finish"
-        in message
-    )
+    assert f"{ascent} matrix-sweeps in the ascent, {finish} in the finish" in message
 
 
 def _refuse(*_args, **_kwargs):
@@ -718,6 +715,55 @@ def _unit_density_with_entry(entry: list) -> str:
     """A 1x1 density document whose one entry is ``entry``."""
     doc = {"rows": 1, "cols": 1, "entries": [entry]}
     return json.dumps({"dims": [1, 1], "repr": "density", "density": doc})
+
+
+def _ensemble_with_term(key: str, value) -> str:
+    """The two-block ensemble with its second term's ``key`` set to
+    ``value``, or dropped for None."""
+    doc = _two_block_ensemble_doc()
+    if value is None:
+        del doc["terms"][1][key]
+    else:
+        doc["terms"][1][key] = value
+    return json.dumps(doc)
+
+
+def _map_text(**fields) -> str:
+    return json.dumps({"dim_in": 2, "dim_out": 2, **fields})
+
+
+_EYE2 = matrix_to_json(np.eye(2, dtype=complex) / 2)
+_EYE3 = matrix_to_json(np.eye(3, dtype=complex) / 3)
+
+
+@pytest.mark.parametrize(
+    "command, texts, code, message",
+    [
+        ("analyze-state", [_ensemble_with_weight(0)], 3,
+         "error: ensemble weights must be positive"),
+        ("decompose", [_ensemble_with_weight(-0.5)], 3,
+         "error: ensemble weights must be positive"),
+        ("analyze-state", [_ensemble_with_term("a", _EYE3)], 3,
+         "error: inconsistent factor dimensions in ensemble"),
+        ("choi", [_map_text(repr="kraus", kraus=[_EYE2, _EYE3])], 3,
+         "error: Kraus operators must share one shape"),
+        ("choi", [_map_text(repr="holevo", holevo=[])], 2,
+         "parse error: holevo payload must be a nonempty list of terms"),
+        ("decompose", [_ensemble_with_term("weight", None)], 2,
+         "parse error: ensemble terms need 'weight', 'a' and 'b'"),
+        ("pair", [json.dumps(map_to_json(transpose_map(2))), json.dumps(_EYE2),
+                  json.dumps(_EYE3)], 3,
+         "error: second argument shape (3, 3) does not match output dimension"),
+        ("choi", [_map_text(repr="choi", choi=_EYE2, dim_in=0)], 3,
+         "error: map dimensions must be positive"),
+    ],
+    ids=[
+        "weight-zero", "weight-negative", "factors-2x2-3x3", "kraus-shapes",
+        "holevo-empty", "term-without-weight", "pair-b-3x3", "dim-in-zero",
+    ],
+)
+def test_input_checks_exit_with_their_code(command, texts, code, message):
+    assert _run_texts(command, texts) == (code, "", message + "\n")
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from entanglecone.duality import (
     kraus_to_map,
     map_adjoint,
     map_from_state,
-    maximally_entangled,
     maximally_entangled_matrix,
     pairing_value,
     state_from_map,
@@ -327,7 +326,7 @@ def test_maximally_entangled_properties():
     p = maximally_entangled_matrix(3)
     assert abs(np.trace(p).real - 3.0) < 1e-13
     assert np.linalg.matrix_rank(p) == 1
-    s = maximally_entangled(3)
+    s = BipartiteState((3, 3), maximally_entangled_matrix(3) / 3)
     assert abs(np.trace(s.density).real - 1.0) < 1e-13
     # PT spectrum is +-1/n.
     values = np.linalg.eigvalsh(partial_transpose(s.density, (3, 3), "second"))

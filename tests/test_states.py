@@ -25,7 +25,7 @@ from entanglecone.duality import (
     kraus_to_map,
     map_adjoint,
     map_from_state,
-    maximally_entangled,
+    maximally_entangled_matrix,
     state_from_map,
     transpose_map,
 )
@@ -48,13 +48,11 @@ from entanglecone.states import (
     random_product_mixtures,
     search_ppt_entangled,
     witness_battery,
-    witness_pairing,
 )
 from reference import (
     derive_stream,
     gaussian_complex_matrix,
     min_eigenpair,
-    pairing_via_adjoint,
     random_density,
     random_product_mixture,
     random_pure_mixture,
@@ -70,7 +68,7 @@ def _holevo_state(stream, n, m, terms=3):
 
 
 def test_ppt_check_maximally_entangled():
-    s = maximally_entangled(2)
+    s = BipartiteState((2, 2), maximally_entangled_matrix(2) / 2)
     ok, witness = ppt_check(s)
     assert not ok
     assert witness is not None
@@ -293,7 +291,8 @@ def test_transpose_route_fault_fails_peres(monkeypatch):
 
 
 def test_witness_battery_detects_maximally_entangled():
-    report = witness_battery(maximally_entangled(2))
+    s = BipartiteState((2, 2), maximally_entangled_matrix(2) / 2)
+    report = witness_battery(s)
     assert report.entanglement == "certified-entangled"
     assert report.certificate_name is not None
     assert not report.ppt
@@ -320,40 +319,10 @@ def test_witness_battery_separable_certificate_flag():
     assert not report.hits
 
 
-def test_witness_pairing_pinned_values():
-    s = maximally_entangled(2)
-    assert abs(witness_pairing(s, transpose_map(2)) - 1.0) < 1e-12
-    e11 = np.diag([1.0, 0.0]).astype(complex)
-    prod = BipartiteState((2, 2), kron(e11, e11))
-    assert abs(witness_pairing(prod, identity_map(2)) - 1.0) < 1e-12
-
-
-def test_witness_pairing_matches_adjoint_route():
-    stream = derive_stream(404, 0)
-    s = _holevo_state(stream, 3, 3)
-    for f in (transpose_map(3), identity_map(3), builtin_choi_map()):
-        direct = witness_pairing(s, f)
-        adjoint = pairing_via_adjoint(s, f)
-        assert abs(direct - adjoint) < 1e-10
-    # Rectangular pairing: the map must run between the two factors.
-    from entanglecone.duality import kraus_to_map
-
-    rect = _holevo_state(stream, 2, 3)
-    g = kraus_to_map([gaussian_complex_matrix(stream, 3, 2)])
-    assert abs(witness_pairing(rect, g) - pairing_via_adjoint(rect, g)) < 1e-10
-
-
-def test_witness_pairing_nonnegative_for_separable_positive_pairs():
-    stream = derive_stream(405, 0)
-    for _ in range(10):
-        s = _holevo_state(stream, 2, 2)
-        for f in (identity_map(2), transpose_map(2)):
-            assert witness_pairing(s, f) >= -1e-9
-
-
 def test_peres_equivalence_battery():
     stream = derive_stream(406, 0)
-    assert peres_equivalence(maximally_entangled(2))
+    s = BipartiteState((2, 2), maximally_entangled_matrix(2) / 2)
+    assert peres_equivalence(s)
     for _ in range(20):
         d = 2 if stream.next_float() < 0.5 else 3
         h = random_pure_mixture(stream, d * d, 2)
@@ -673,11 +642,12 @@ def _per_restart_search(witness, budget, seed):
 
     Returns (violation, restart, h, converged, steps, resets) per
     restart, h before the finish's last projection and resets the
-    number of times progress cleared a nonzero plateau count. Each
-    candidate is projected to the gap its step allows, and the violation
-    is that of the loosely projected state; a candidate whose projection
-    has no trace is a rejected step. h is the exact projection of the
-    start or candidate that state came from, the search's finish.
+    number of times progress cleared a nonzero plateau count. A restart
+    starts from its normalised draw, unprojected. Each candidate is
+    projected to the gap its step allows, and the violation is that of
+    the loosely projected state; a candidate whose projection has no
+    trace is a rejected step. h is the exact projection of the start or
+    candidate that state came from, the search's finish.
     """
     n = witness.dim_in
     dims = (n, n)
@@ -693,11 +663,10 @@ def _per_restart_search(witness, budget, seed):
     runs = []
     for r in range(budget.restarts):
         source = _start(derive_stream(seed, r), n)
-        h = normalised(_dykstra(source, dims)[0])
+        h = normalised(source)
         correction = np.zeros((n * n, n * n), dtype=complex)
         viol, vec = violation(h)
         plateau, converged, steps, resets = 0, False, 0, 0
-        last_move = np.inf
         for _ in range(budget.iterations):
             steps += 1
             grad = -hermitian_part(
@@ -707,15 +676,14 @@ def _per_restart_search(witness, budget, seed):
             step = states._ASCENT_STEP
             for _ in range(states._MAX_HALVINGS):
                 x = h + step * grad
-                delta = min(last_move, step * states._frob_each(grad))
-                gap = max(states._DYKSTRA_GAP, states._ASCENT_GAP_RATIO * delta)
+                length = step * states._frob_each(grad)
+                gap = max(states._DYKSTRA_GAP, states._ASCENT_GAP_RATIO * length)
                 cand, _ = _dykstra(x, dims, correction, gap)
                 trace = np.real(np.trace(cand))
                 if trace >= 1e-12:
                     cand = cand / trace
                     cand_viol, cand_vec = violation(cand)
                     if cand_viol > viol:
-                        last_move = states._frob_each(cand - h)
                         h, viol, vec, source = cand, cand_viol, cand_vec, x
                         break
                 step /= 2.0
@@ -789,16 +757,16 @@ def test_lockstep_search_matches_per_restart_runs(monkeypatch):
 
 
 def test_lockstep_search_resets_plateaus_like_per_restart_runs(monkeypatch):
-    # Restart 3 makes progress after eight flat steps and clears its
+    # Restart 3 makes progress after four flat steps and clears its
     # plateau count. Had it kept the count, it would have stopped at
-    # step 51 instead of 59.
+    # step 53 instead of 57.
     monkeypatch.setattr(states, "_PLATEAU_EXIT", 10)
     monkeypatch.setattr(states, "_PLATEAU_RELATIVE", 2e-2)
     witness = builtin_choi_map()
     budget = Budget(restarts=4, iterations=60)
     runs = _per_restart_search(witness, budget, seed=0)
     assert [run[5] for run in runs] == [0, 0, 0, 1]
-    assert runs[3][4] == 59
+    assert runs[3][4] == 57
     _assert_lockstep_matches(monkeypatch, witness, budget, runs)
 
 
@@ -808,26 +776,34 @@ def test_collapsed_candidate_is_a_rejected_step(monkeypatch):
 
     def collapsing(x, dims, correction=None, gap=None):
         out, sweeps = dykstra(x, dims, correction, gap)
-        if correction is not None and gap is not None and len(calls) == 1:
+        if not calls:
             # The first ascent projection holds every restart in order.
             out[1] = 0.0
-        calls.append((x.copy(), correction is None and gap is None, out.copy()))
+        calls.append((x.copy(), correction is None and gap is None))
         return out, sweeps
 
     monkeypatch.setattr(states, "_dykstra", collapsing)
-    result = search_ppt_entangled(
-        builtin_choi_map(), Budget(restarts=3, iterations=2), seed=4
+    witness = builtin_choi_map()
+    result = search_ppt_entangled(witness, Budget(restarts=3, iterations=2), seed=4)
+    # The starts are the normalised draws and get no projection: every
+    # projection starts from a correction or has a gap, and the first
+    # steps from the draws.
+    assert not any(fresh for _, fresh in calls)
+    start = np.stack([_start(derive_stream(4, r), 3) for r in range(3)])
+    h = start / np.real(np.trace(start, axis1=1, axis2=2))[:, np.newaxis, np.newaxis]
+    _, vec = states._violation(h, (3, 3), witness)
+    grad = -hermitian_part(
+        apply_to_second(
+            vec[:, :, np.newaxis] * vec.conj()[:, np.newaxis, :],
+            (3, 3),
+            map_adjoint(witness),
+        )
     )
-    # The starts are drawn once: the only projection without a correction
-    # at the default gap; the finish's has a correction, its last a gap.
-    ((x, out),) = [(x, out) for x, fresh, out in calls if fresh]
-    want = np.stack([_start(derive_stream(4, r), 3) for r in range(3)])
-    assert np.array_equal(x, want)
+    assert np.allclose(calls[0][0], h + states._ASCENT_STEP * grad, rtol=0, atol=1e-15)
     # Restart 1's collapsed candidate is rejected: the next projection
     # tries it again from the same state at half the step.
-    h1 = out[1] / np.real(np.trace(out[1]))
-    halved = (calls[1][0][1] - h1) / 2
-    assert any(np.allclose(row - h1, halved, rtol=0, atol=1e-15) for row in calls[2][0])
+    halved = (calls[0][0][1] - h[1]) / 2
+    assert any(np.allclose(row - h[1], halved, rtol=0, atol=1e-15) for row in calls[1][0])
     assert result.iterations == 6
 
 
@@ -853,7 +829,7 @@ def test_first_step_from_a_start_keeps_a_positive_pairing(name, seed, restart):
     witness = builtin_map(name)
     n = witness.dim_in
     dims = (n, n)
-    h, _ = _dykstra(_start(derive_stream(seed, restart), n), dims)
+    h = _start(derive_stream(seed, restart), n)
     h /= np.real(np.trace(h))
     _, vec = states._violation(h, dims, witness)
     grad = -hermitian_part(
@@ -907,8 +883,9 @@ def test_stacked_product_mixtures_match_the_scalar_streams(seed, n, m, terms, in
         assert got.tobytes() == want.tobytes()
 
 
-def test_search_logs_one_debug_summary(caplog):
+def test_search_logs_one_debug_summary(caplog, monkeypatch):
     budget = Budget(restarts=2, iterations=3)
+    recorded = _recorded_dykstra(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="entanglecone.states"):
         result = search_ppt_entangled(
             builtin_choi_map(), budget, seed=1, witness_name="choi3"
@@ -919,11 +896,14 @@ def test_search_logs_one_debug_summary(caplog):
     ]
     assert summary.getMessage().startswith("search choi3: 2 restarts")
     assert (restarts, steps, caps) == (2, result.iterations, 0)
-    # One call for the starts, then at least one per lockstep ascent step,
-    # and the finish's two: the winner's exact projection and its last
-    # projection, whose sweeps both count toward the finish.
+    # At least one call per lockstep ascent step, and the finish's two:
+    # the winner's exact projection and its last projection, whose sweeps
+    # both count toward the finish. The starts get no projection: only
+    # the last starts from no correction.
+    assert calls == len(recorded)
+    assert [start is None for _, start, _ in recorded] == [False] * (calls - 1) + [True]
     assert finish >= 2
-    assert calls >= 3 + -(-steps // restarts)
+    assert calls >= 2 + -(-steps // restarts)
     assert sweeps >= calls - 2
     # Four phases: start, ascent, finish and the last projection.
     assert len(summary.args[7:]) == 4

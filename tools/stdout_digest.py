@@ -5,16 +5,21 @@ of bench seed 7 from ``bench/jobs.py`` in-process through
 ``entanglecone.cli.main``, against the package found in ``--src``, then
 the same 400 ``states`` jobs and 200 ``classify`` jobs with
 ``--tol-psd 1e-10``, then ``search`` jobs 1200 to 1259 of bench seed 42,
-and prints one line per run:
+then ``search`` jobs 0 to 3 of bench seed 7 at the default budget of
+16 restarts x 200 steps, and prints one line per run:
 
     <run> <jobs> <sha256 of every job's exit code and stdout>
 
 where the run is the workload's name, or ``states-tol1e-10``,
-``classify-tol1e-10`` and ``search-seed42`` for the last three. The
-``classify`` jobs at the non-default slack cover the witness battery
-that classify-map runs on the state of a completely positive map. Job
-1226 of seed 42 is a search whose winner's exact finish stops at the
-projection's iteration cap. With ``--per-job`` it prints one line per
+``classify-tol1e-10``, ``search-seed42`` and ``search-default`` for the
+last four. The ``classify`` jobs at the non-default slack cover the
+witness battery that classify-map runs on the state of a completely
+positive map. Job 1226 of seed 42 is a search whose winner's exact
+finish stops at the projection's iteration cap. The bench ``search``
+jobs take 8 restarts x 1 step; ``search-default`` appends
+``--budget-restarts 16 --budget-iters 200`` to four of them, which
+argparse reads over the job's own budget, so that a change to longer
+searches shows (a few seconds). With ``--per-job`` it prints one line per
 job instead:
 
     <run> <k> <sha256 of job k's exit code and stdout>
@@ -51,6 +56,10 @@ RUNS = (
     ("states-tol1e-10", "states", 7, range(400), ["--tol-psd", "1e-10"]),
     ("classify-tol1e-10", "classify", 7, range(200), ["--tol-psd", "1e-10"]),
     ("search-seed42", "search", 42, range(1200, 1260), []),
+    (
+        "search-default", "search", 7, range(4),
+        ["--budget-restarts", "16", "--budget-iters", "200"],
+    ),
 )
 
 
