@@ -44,6 +44,19 @@ class _UsageError(Exception):
     pass
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to sys.stderr as it is when the record is
+    emitted, so a caller that redirects stderr per call gets its own."""
+
+    def __init__(self) -> None:
+        # StreamHandler's own __init__ would assign the read-only stream.
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         raise _UsageError(message)
@@ -172,12 +185,16 @@ def _budget(args) -> Budget:
 
 
 def _emit(doc: dict, args, saved: dict | None = None) -> None:
-    """Print doc in the chosen format; with --out, also write saved, doc
-    itself unless given, to that file as JSON."""
-    print(to_text(doc) if args.format == "text" else dumps(doc))
+    """Print doc in the chosen format; with --out, first write saved, doc
+    itself unless given, to that file as JSON. A file that cannot be
+    written is a usage error, raised before anything is printed."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dumps(doc if saved is None else saved) + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(dumps(doc if saved is None else saved) + "\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out file: {exc}") from exc
+    print(to_text(doc) if args.format == "text" else dumps(doc))
 
 
 def _cmd_choi(args) -> int:
@@ -255,7 +272,9 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING)
+    # A caller's own logging configuration wins.
+    if not logging.getLogger().handlers:
+        logging.basicConfig(handlers=[_StderrHandler()], level=logging.WARNING)
     try:
         args = _PARSER.parse_args(argv)
         _tolerances(args)  # reject out-of-range --tol-psd uniformly

@@ -228,15 +228,12 @@ def random_product_mixtures(
     return h
 
 
-def _proj_psd(x: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix to a Hermitian x, matrix by matrix for a stack;
-    eigh reads only one triangle."""
+def _proj_psd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest PSD matrix to a Hermitian x and its eigenvalues, matrix by
+    matrix for a stack; eigh reads only one triangle."""
     w, v = np.linalg.eigh(x)
-    return (v * np.maximum(w, 0.0)[..., np.newaxis, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def _proj_pt_psd(x: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    return transpose_second(_proj_psd(transpose_second(x, dims)), dims)
+    w = np.maximum(w, 0.0)
+    return (v * w[..., np.newaxis, :]) @ v.conj().swapaxes(-1, -2), w
 
 
 def _frob_each(x: np.ndarray) -> np.ndarray:
@@ -290,7 +287,9 @@ def _dykstra(
 
     where the rows of A are a matrix's stored residual differences. The
     ridge keeps G, singular while the ring is not full, invertible. A
-    matrix with an empty history gets gamma = 0: the plain step.
+    matrix with an empty history gets gamma = 0: the plain step. G is
+    kept across sweeps: a sweep overwrites one row of A, so one batched
+    product gives that row and column of G, and a reset zeros G too.
 
     Every sweep certifies its own x_pt, whatever v it started from.
     With p = x0 - v - y and q = T(v), x0 = x_pt + p + q where p is
@@ -305,8 +304,9 @@ def _dykstra(
       cones. Every norm is Frobenius.
 
     Since the certificate does not depend on v, neither the ridge nor
-    the lockstep changes this bound. A matrix leaves once
-    r <= gap max(1, ||x_pt||). At the default gap, _DYKSTRA_GAP, the
+    the lockstep changes this bound. A matrix leaves once r <= gap
+    max(1, ||x_pt||), ||x_pt|| read off the clipped spectrum of PT(v + y)
+    as PT only permutes entries. At the default gap, _DYKSTRA_GAP, the
     default PSD slack, the point then passes is_psd on both cones, and
     when ||x0 - x_pt|| and ||p|| are below 0.15, as for the search's
     candidates, it lies within 3e-5 of the nearest point. Measured
@@ -337,22 +337,25 @@ def _dykstra(
     v = np.zeros_like(x0) if correction is None else correction.reshape(x0.shape)
     # Per matrix, differences of residuals and of T values over the last
     # sweeps, as real vectors: Anderson's combination has real
-    # coefficients, which keeps v Hermitian.
+    # coefficients, which keeps v Hermitian. Sweep j writes slot j mod
+    # _DYKSTRA_MEMORY of every ring, its oldest difference or zeros.
     d_res = np.zeros((count, _DYKSTRA_MEMORY, 2 * shape[-1] ** 2))
     d_tv = np.zeros_like(d_res)
-    filled = np.zeros(count, dtype=np.int64)
+    gram = np.zeros((count, _DYKSTRA_MEMORY, _DYKSTRA_MEMORY))
     prev_r = np.full(count, np.inf)
     prev_res = prev_tv = None
     live = np.arange(count)
     for sweep in range(1, _DYKSTRA_ITERATIONS + 1):
-        y = _proj_psd(x0 - v)
+        y, _ = _proj_psd(x0 - v)
         vy = v + y
-        x_pt = _proj_pt_psd(vy, dims)
+        x_pt, w_pt = _proj_psd(transpose_second(vy, dims))
+        x_pt = transpose_second(x_pt, dims)
         tv = vy - x_pt
         res = (y - x_pt).reshape(live.size, -1).view(np.float64)
         # The sums np.linalg.norm takes along these axes, bit for bit.
         r = np.sqrt(np.add.reduce(res * res, axis=1))
-        closed = r <= exit_gap * np.maximum(1.0, _frob_each(x_pt))
+        norm = np.sqrt(np.add.reduce(w_pt * w_pt, axis=1))  # ||x_pt||_F
+        closed = r <= exit_gap * np.maximum(1.0, norm)
         if sweep == _DYKSTRA_ITERATIONS:
             break
         if closed.any():
@@ -363,37 +366,34 @@ def _dykstra(
             if live.size == 0:
                 break
             x0, tv, res, r = x0[keep], tv[keep], res[keep], r[keep]
-            exit_gap = exit_gap[keep]
+            exit_gap, prev_r, gram = exit_gap[keep], prev_r[keep], gram[keep]
             # The histories are copied one at a time, which bounds the peak.
             d_res = d_res[keep]
             d_tv = d_tv[keep]
-            filled, prev_r = filled[keep], prev_r[keep]
             if prev_res is not None:
                 prev_res, prev_tv = prev_res[keep], prev_tv[keep]
         tv_vec = tv.reshape(live.size, -1).view(np.float64)
         if prev_res is not None:
-            rows = np.arange(live.size)
-            slot = filled % _DYKSTRA_MEMORY
-            diff = res - prev_res
-            d_res[rows, slot] = diff
-            d_tv[rows, slot] = tv_vec - prev_tv
-            filled += 1
+            slot = sweep % _DYKSTRA_MEMORY
+            d_res[:, slot] = res - prev_res
+            d_tv[:, slot] = tv_vec - prev_tv
+            row = (d_res @ d_res[:, slot, :, np.newaxis])[:, :, 0]
+            gram[:, slot] = row
+            gram[:, :, slot] = row
         # A matrix whose gap grew drops its whole history, the differences
         # just stored included.
         grew = r > prev_r
         if grew.any():
-            filled[grew] = 0
             d_res[grew] = 0.0
             d_tv[grew] = 0.0
-        gram = d_res @ d_res.swapaxes(1, 2)
-        # A view of each G's diagonal, which takes the ridge in place.
-        diagonal = gram.reshape(live.size, -1)[:, :: _DYKSTRA_MEMORY + 1]
-        ridge = 1e-12 * diagonal.sum(axis=1)
+            gram[grew] = 0.0
+        ridge = 1e-12 * np.trace(gram, axis1=1, axis2=2)
         # An empty history has G = 0 and A res = 0; any positive ridge
         # then gives gamma = 0.
         ridge[ridge == 0.0] = 1.0
-        diagonal += ridge[:, np.newaxis]
-        gamma = np.linalg.solve(gram, d_res @ res[:, :, np.newaxis])
+        system = gram.copy()
+        system.reshape(live.size, -1)[:, :: _DYKSTRA_MEMORY + 1] += ridge[:, np.newaxis]
+        gamma = np.linalg.solve(system, d_res @ res[:, :, np.newaxis])
         v_vec = tv_vec - (gamma.swapaxes(1, 2) @ d_tv)[:, 0]
         v = v_vec.view(np.complex128).reshape(x0.shape)
         prev_res, prev_tv, prev_r = res, tv_vec, r

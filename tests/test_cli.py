@@ -299,6 +299,36 @@ def test_usage_errors(capsys):
     assert "usage error" in err
 
 
+def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    assert main(["choi", "builtin:identity2", "--out", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: cannot write --out file")
+    assert captured.err.count("\n") == 1
+
+
+def test_log_records_go_to_each_call_stderr(monkeypatch):
+    # pytest's capture handlers would keep cli.main from configuring
+    # logging, so the root logger starts this test without handlers.
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])
+    level = root.level
+    argv = [
+        "search-ppt-entangled", "identity2",
+        "--budget-restarts", "1", "--budget-iters", "1",
+    ]
+    out, errs = io.StringIO(), [io.StringIO(), io.StringIO()]
+    try:
+        for err in errs:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(argv) == 4
+    finally:
+        root.setLevel(level)
+    for err in errs:
+        assert err.getvalue().count("is completely positive") == 1
+
+
 def test_choi_rejects_search_flags(capsys):
     assert main(["choi", "builtin:identity2", "--seed", "1"]) == 1
     capsys.readouterr()

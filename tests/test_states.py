@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -605,6 +606,44 @@ def test_dykstra_cap_names_the_capped_slices(monkeypatch, caplog):
     for k in range(4):
         alone, _ = _dykstra(x[k], (3, 3))
         assert np.array_equal(out[k], alone)
+
+
+def _sweep_locals(monkeypatch, x):
+    """Copies of _dykstra's kept G, ring, exit norm and x_pt, taken as
+    each sweep solves its Anderson system."""
+    seen = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        scope = sys._getframe(1).f_locals
+        seen.append({k: scope[k].copy() for k in ("gram", "d_res", "norm", "x_pt")})
+        return solve(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", recording)
+        _dykstra(x, (3, 3), np.zeros_like(x), np.array([1e-9, 1e-4, 1e-5, 1e-6]))
+    return seen
+
+
+def test_dykstra_kept_gram_matches_its_ring(monkeypatch):
+    seen = _sweep_locals(monkeypatch, _stack_to_project())
+    for s in seen:
+        rebuilt = s["d_res"] @ s["d_res"].swapaxes(1, 2)
+        error = np.linalg.norm(s["gram"] - rebuilt, axis=(1, 2))
+        assert (error <= 1e-12 * np.linalg.norm(rebuilt, axis=(1, 2))).all()
+    # The sweeps cover compaction and a history reset.
+    traces = [np.trace(s["gram"], axis1=1, axis2=2) for s in seen]
+    assert len(traces[0]) == 4 and len(traces[-1]) == 1
+    assert any(
+        len(a) == len(b) and ((a > 0.0) & (b == 0.0)).any()
+        for a, b in zip(traces, traces[1:])
+    )
+
+
+def test_dykstra_exit_norm_from_the_spectrum(monkeypatch):
+    for s in _sweep_locals(monkeypatch, _stack_to_project()):
+        frob = np.linalg.norm(s["x_pt"], axis=(1, 2))
+        assert (np.abs(s["norm"] - frob) <= 1e-14 * frob).all()
 
 
 def test_search_finds_ppt_entangled_state():

@@ -24,7 +24,14 @@ job instead:
 
     <run> <k> <sha256 of job k's exit code and stdout>
 
-with k the job's index in its seed's job list.
+with k the job's index in its seed's job list. With ``--work`` it runs
+only the three search runs and prints, for each, the totals over its
+jobs of the counts in every search's DEBUG summary:
+
+    <run> <jobs> ascent <matrix-sweeps> finish <matrix-sweeps> caps <cap hits>
+
+Unlike wall time, these counts are exact for fixed jobs, so two trees
+can be compared on one machine or across machines.
 
 Two trees print the same lines exactly when they give every job the
 same exit code and byte-identical stdout; the per-job lines say which
@@ -32,6 +39,7 @@ jobs differ. Run from any directory:
 
     python tools/stdout_digest.py --src src
     python tools/stdout_digest.py --src /path/to/other/checkout/src --per-job
+    python tools/stdout_digest.py --src src --work
 
 The job lists come from this checkout's ``bench/jobs.py`` for both
 trees, so the comparison holds the inputs fixed.
@@ -42,6 +50,8 @@ import argparse
 import contextlib
 import hashlib
 import io
+import logging
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -69,9 +79,14 @@ def parse_args(argv):
         "--src", required=True, type=Path,
         help="directory holding the entanglecone package to run",
     )
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--per-job", action="store_true",
         help="print one digest per job rather than one per run",
+    )
+    mode.add_argument(
+        "--work", action="store_true",
+        help="print the sweep and cap-hit totals of each search run instead",
     )
     return parser.parse_args(argv)
 
@@ -87,6 +102,24 @@ def _import_cli(src: Path):
     if src not in Path(cli.__file__).resolve().parents:
         raise SystemExit(f"error: imported entanglecone from {cli.__file__}")
     return cli
+
+
+class _WorkTotals(logging.Handler):
+    """Sums the ascent and finish matrix-sweeps and the cap hits of
+    every search's DEBUG summary it receives."""
+
+    PATTERN = re.compile(
+        r"(\d+) matrix-sweeps in the ascent, (\d+) in the finish, (\d+) cap hits"
+    )
+
+    def __init__(self) -> None:
+        super().__init__(logging.DEBUG)
+        self.totals = [0, 0, 0]
+
+    def emit(self, record: logging.LogRecord) -> None:
+        match = self.PATTERN.search(record.getMessage())
+        if match:
+            self.totals = [t + int(g) for t, g in zip(self.totals, match.groups())]
 
 
 def outputs(cli, jobs, workload: str, seed: int, ks, extra: list[str], path: Path):
@@ -111,12 +144,25 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "bench"))
     import jobs
 
+    if args.work:
+        work = _WorkTotals()
+        search_log = logging.getLogger("entanglecone.states")
+        search_log.setLevel(logging.DEBUG)
+        search_log.addHandler(work)
     with tempfile.TemporaryDirectory() as tmp:
         # One fixed file name, so no path differs between two runs.
         path = Path(tmp) / "input.json"
         for run, workload, seed, ks, extra in RUNS:
             outs = outputs(cli, jobs, workload, seed, ks, extra, path)
-            if args.per_job:
+            if args.work:
+                if workload != "search":
+                    continue
+                work.totals = [0, 0, 0]
+                for _ in outs:
+                    pass
+                a, f, c = work.totals
+                print(f"{run} {len(ks)} ascent {a} finish {f} caps {c}", flush=True)
+            elif args.per_job:
                 for k, out in zip(ks, outs):
                     print(f"{run} {k} {hashlib.sha256(out).hexdigest()}", flush=True)
             else:
