@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .duality import (
+    MAX_CHOI_DIM,
     HolevoForm,
     MatrixMap,
     choi_from_action,
@@ -27,7 +28,7 @@ from .duality import (
     kraus_to_map,
     transpose_map,
 )
-from .errors import DomainError, NumericalError
+from .errors import DimensionError, DomainError, NumericalError
 from .linalg import (
     CONVERGENCE,
     DEFAULT_TOL,
@@ -296,6 +297,8 @@ def classify_map(
 ) -> MapClassReport:
     """Run the full battery of cone-membership tests on one map."""
     cp, cp_witness = is_cp(f, tol)
+    # The EB verdict's library, first: a dimension it cannot take fails fast.
+    library = default_witness_library(f.dim_out) if cp and f.holevo is None else None
     cop, cop_witness = is_copositive(f, tol)
     best = block_positivity_minimize(f.choi, (f.dim_in, f.dim_out), budget, seed)
     if best.value < psd_floor(f.choi, tol):
@@ -321,7 +324,7 @@ def classify_map(
         # The functional's state C^T is PSD at tol exactly when C is, as
         # is_cp decided, and is the library's identity output; the EB
         # witnesses are the entries after the identity, read on C^T.
-        *_, eb_witness_name = default_witness_library(f.dim_out).verdicts(
+        *_, eb_witness_name = library.verdicts(
             f.choi.T.copy(), (f.dim_in, f.dim_out), tol, slice(1, None)
         )
         if eb_witness_name is not None:
@@ -416,8 +419,14 @@ def default_witness_library(m: int) -> WitnessLibrary:
     the builtin witness map, a composition with the transpose, and two
     unitary twists a phi(b x b*) a*, which stay positive and widen the
     set of detectable states. Every entry is positive by construction;
-    the test suite checks each for block positivity.
+    the test suite checks each for block positivity. An m with m^2 above
+    MAX_CHOI_DIM raises DimensionError.
     """
+    if m * m > MAX_CHOI_DIM:
+        raise DimensionError(
+            f"second factor dimension {m} exceeds the witness library's cap "
+            f"m <= {int(MAX_CHOI_DIM**0.5)}"
+        )
     entries: list[tuple[str, MatrixMap]] = [
         (f"identity{m}", identity_map(m)),
         (f"transpose{m}", transpose_map(m)),

@@ -235,10 +235,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_search(args) -> int:
     budget = _budget(args)  # reject an oversized budget before any work
-    try:
-        witness = builtin_map(args.witness)
-    except DomainError as exc:
-        raise _UsageError(str(exc)) from exc
+    witness = _resolve_map(f"builtin:{args.witness}")  # a builtin name only
     result = search_ppt_entangled(
         witness,
         budget=budget,

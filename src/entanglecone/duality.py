@@ -206,15 +206,14 @@ def map_adjoint(f: MatrixMap) -> MatrixMap:
 
 
 def compose(g: MatrixMap, f: MatrixMap) -> MatrixMap:
-    """The composition g . f, one contraction of the two Choi tensors."""
+    """The composition g . f, whose Choi matrix is (id (x) g) of f's."""
     if f.dim_out != g.dim_in:
         raise DimensionError(
             f"cannot compose: inner dimensions {f.dim_out} and {g.dim_in} differ"
         )
-    n, p = f.dim_in, g.dim_out
-    _check_choi_size(n, p)
-    c4 = np.einsum("ikjl,kalb->iajb", f.choi4(), g.choi4())
-    return MatrixMap(n, p, c4.reshape(n * p, n * p))
+    _check_choi_size(f.dim_in, g.dim_out)
+    choi = apply_to_second(f.choi, (f.dim_in, f.dim_out), g)
+    return MatrixMap(f.dim_in, g.dim_out, choi)
 
 
 def kraus_to_map(ops) -> MatrixMap:

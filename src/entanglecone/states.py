@@ -67,9 +67,6 @@ _ASCENT_GAP_RATIO = 1e-3
 # Past sweeps combined by each Anderson step of _dykstra. Near the common
 # boundary of the cones, 16 needed fewer sweeps than 5 or 8.
 _DYKSTRA_MEMORY = 16
-# Relative exit gap of the winner's last projection: PT(h) is PSD and
-# lambda_min(h) >= -1e-12 max(1, ||h||), headroom for its certificates.
-_FINISH_GAP = 1e-12
 
 SEARCH_BUDGET = Budget(restarts=16, iterations=200)
 
@@ -245,17 +242,19 @@ def _frob_each(x: np.ndarray) -> np.ndarray:
 def _dykstra(
     x: np.ndarray,
     dims: tuple[int, int],
-    correction: np.ndarray | None = None,
-    gap: float | np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    correction: np.ndarray,
+    gap: float | np.ndarray = _DYKSTRA_GAP,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nearest point of {PSD} intersect {PT-PSD} to the Hermitian part of x.
 
     x is one matrix or a nonempty stack ``(..., nm, nm)`` of them,
-    projected matrix by matrix; a 2-D x is a stack of one. Returns the projection,
-    shaped like x, and the number of sweeps each matrix took, shaped
-    like ``x.shape[:-2]``. ``gap`` is each matrix's relative exit gap, a
-    scalar or an array shaped like ``x.shape[:-2]``; None means
-    _DYKSTRA_GAP.
+    projected matrix by matrix; a 2-D x is a stack of one.
+    ``correction``, shaped like x and only read, holds the v each
+    matrix starts from. ``gap`` is each matrix's relative exit gap, a
+    scalar or an array shaped like ``x.shape[:-2]``. Returns each
+    matrix's last sweep as ``(x_pt, T(v), r, sweeps)``: the projection
+    and the final correction, shaped like x, and the gap and the number
+    of sweeps taken, shaped like ``x.shape[:-2]``.
 
     Dykstra's algorithm for the two cones (Boyle & Dykstra 1986), in its
     one-variable form: with x0 the Hermitian part of a matrix and v the
@@ -318,23 +317,22 @@ def _dykstra(
     bound for a matrix that never closes its gap; reaching it is logged
     with the number of matrices that did.
 
-    ``correction``, when given, is shaped like x, holds the v to start
-    from and receives the final T(v). Neither the fixed points of T nor
-    the certificate depend on the start; a start near the final
-    correction only saves sweeps. Consecutive ascent candidates differ
-    by one short step, so the search passes each restart's correction
-    through all of that restart's projections.
+    Neither the fixed points of T nor the certificate depend on the
+    start; a start near the final correction only saves sweeps.
+    Consecutive ascent candidates differ by one short step, so the
+    search passes each restart's returned T(v) to that restart's next
+    projection.
     """
     x0 = hermitian_part(check_bipartite(x, dims, stacked=True))
-    shape = x0.shape
+    shape, lead = x0.shape, x0.shape[:-2]
     x0 = x0.reshape((-1,) + shape[-2:])
     count = x0.shape[0]
-    exit_gap = np.broadcast_to(_DYKSTRA_GAP if gap is None else gap, shape[:-2])
-    exit_gap = exit_gap.reshape(count)
+    exit_gap = np.broadcast_to(gap, lead).reshape(count)
     out = np.empty_like(x0)
     final_tv = np.empty_like(x0)
+    final_r = np.empty(count)
     sweeps = np.full(count, _DYKSTRA_ITERATIONS, dtype=np.int64)
-    v = np.zeros_like(x0) if correction is None else correction.reshape(x0.shape)
+    v = correction.reshape(x0.shape)
     # Per matrix, differences of residuals and of T values over the last
     # sweeps, as real vectors: Anderson's combination has real
     # coefficients, which keeps v Hermitian. Sweep j writes slot j mod
@@ -360,7 +358,8 @@ def _dykstra(
             break
         if closed.any():
             done = live[closed]
-            out[done], final_tv[done], sweeps[done] = x_pt[closed], tv[closed], sweep
+            out[done], final_tv[done], final_r[done] = x_pt[closed], tv[closed], r[closed]
+            sweeps[done] = sweep
             keep = ~closed
             live = live[keep]
             if live.size == 0:
@@ -399,7 +398,7 @@ def _dykstra(
         prev_res, prev_tv, prev_r = res, tv_vec, r
     if live.size:
         # The loop stopped at the cap: these matrices keep its last sweep.
-        out[live], final_tv[live] = x_pt, tv
+        out[live], final_tv[live], final_r[live] = x_pt, tv, r
         if not closed.all():
             logger.warning(
                 "Dykstra projection stopped at its cap of %d iterations in %d of "
@@ -409,9 +408,8 @@ def _dykstra(
                 count,
                 r[~closed].max(),
             )
-    if correction is not None:
-        correction[...] = final_tv.reshape(shape)
-    return out.reshape(shape), sweeps.reshape(shape[:-2])
+    out, final_tv = out.reshape(shape), final_tv.reshape(shape)
+    return out, final_tv, final_r.reshape(lead), sweeps.reshape(lead)
 
 
 @dataclass(eq=False)
@@ -469,16 +467,17 @@ def search_ppt_entangled(
     projection of its last accepted candidate; a candidate whose
     projection has no trace is a rejected step. Only the winner's state
     is reported: its source, the start or that candidate, is projected
-    exactly from the restart's correction, then to the relative gap
-    _FINISH_GAP, each time normalised, and the reported
-    violation comes from the checked hermitian_eigen. A search with
-    restarts (n m)^2 above MAX_ENSEMBLE_ENTRIES raises DimensionError.
+    exactly from the restart's correction to x_pt with gap r, and the
+    state is (x_pt + r I) / Tr(x_pt + r I). By Weyl's inequality and
+    PT(I) = I it lies in both cones, even where the projection stopped
+    at its cap. The reported violation comes from the checked
+    hermitian_eigen. A search with restarts (n m)^2 above
+    MAX_ENSEMBLE_ENTRIES raises DimensionError.
 
     One DEBUG line on the module logger reports the restarts, ascent
     steps, stacked projection calls, the matrix-sweeps of the ascent and
-    those of the winner's finish, cap hits, and the wall time
-    of the start, ascent, finish and polish phases; the polish is the
-    projection to _FINISH_GAP, and its sweeps count toward the finish.
+    those of the winner's finish, cap hits, and the wall time of the
+    start, ascent and finish phases.
     """
     n = m = witness.dim_in
     dims = (n, m)
@@ -505,16 +504,14 @@ def search_ppt_entangled(
     calls = matrix_sweeps = cap_hits = 0
 
     def project(
-        x: np.ndarray,
-        correction: np.ndarray | None = None,
-        gap: float | np.ndarray | None = None,
-    ) -> np.ndarray:
+        x: np.ndarray, correction: np.ndarray, gap: float | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         nonlocal calls, matrix_sweeps, cap_hits
-        out, sweeps = _dykstra(x, dims, correction, gap)
+        out, tv, r, sweeps = _dykstra(x, dims, correction, gap)
         calls += 1
         matrix_sweeps += int(sweeps.sum())
         cap_hits += int(np.count_nonzero(sweeps >= _DYKSTRA_ITERATIONS))
-        return out
+        return out, tv, r
 
     words = stream_words(seed, range(restarts))
     source = random_product_mixtures(words, n, m, _INIT_PRODUCT_TERMS)
@@ -552,9 +549,7 @@ def search_ppt_entangled(
             rs = active[rows]
             x = h[rs] + step * grad[rows]
             gap = np.maximum(_DYKSTRA_GAP, _ASCENT_GAP_RATIO * (step * grad_norm[rows]))
-            corr = correction[rs]
-            cand = project(x, corr, gap)
-            correction[rs] = corr
+            cand, correction[rs], _ = project(x, correction[rs], gap)
             trace = np.real(np.trace(cand, axis1=1, axis2=2))
             collapsed = trace < 1e-12  # no trace: a rejected step
             cand /= np.where(collapsed, 1.0, trace)[:, np.newaxis, np.newaxis]
@@ -583,17 +578,16 @@ def search_ppt_entangled(
     finish_started = time.perf_counter()
     ascent_sweeps = matrix_sweeps
     winner = int(np.argmax(viol))  # the first maximum: the lowest restart index
-    h = project(source[winner], correction[winner])
-    h = h / np.real(np.trace(h))
-    polish_started = time.perf_counter()
-    h = project(h, gap=_FINISH_GAP)
-    h = h / np.real(np.trace(h))
+    h, _, r = project(source[winner], correction[winner], _DYKSTRA_GAP)
+    # lambda_min(h) >= -r and PT(h) is PSD, so h + r I lies in both cones.
+    h += r * np.eye(d)
+    h /= np.real(np.trace(h))
     # The certified figure comes from the checked solver.
     w, _ = hermitian_eigen(hermitian_part(apply_to_second(h, dims, witness)))
     logger.debug(
         "search %s: %d restarts, %d ascent steps, %d projection calls, "
         "%d matrix-sweeps in the ascent, %d in the finish, "
-        "%d cap hits; start %.3f s, ascent %.3f s, finish %.3f s, polish %.3f s",
+        "%d cap hits; start %.3f s, ascent %.3f s, finish %.3f s",
         witness_name,
         restarts,
         steps,
@@ -603,8 +597,7 @@ def search_ppt_entangled(
         cap_hits,
         ascent_started - started,
         finish_started - ascent_started,
-        polish_started - finish_started,
-        time.perf_counter() - polish_started,
+        time.perf_counter() - finish_started,
     )
     return SearchResult(
         state=BipartiteState(dims, h),

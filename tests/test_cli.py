@@ -287,6 +287,39 @@ def test_search_decomposable_witness_not_found(tmp_path, capsys):
     assert written.dims == (2, 2)
 
 
+def test_unknown_builtin_is_one_usage_error(capsys):
+    # The search resolves its witness name as classify-map does builtin:.
+    for argv in (["classify-map", "builtin:choi4"], ["search-ppt-entangled", "choi4"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: unknown builtin map 'choi4'\n"
+
+
+def test_second_factor_above_the_library_cap_fails_first(tmp_path, capsys, monkeypatch):
+    # A valid (1, 17) state and a CP map into M_17 name the dimension the
+    # user gave, and classify-map fails before its block-positivity search.
+    from entanglecone import classify
+
+    searched = []
+    monkeypatch.setattr(
+        classify, "block_positivity_minimize", lambda *args: searched.append(args)
+    )
+    state = state_to_json(BipartiteState((1, 17), np.eye(17) / 17.0))
+    cp_map = map_to_json(MatrixMap(1, 17, np.eye(17)))
+    for argv in (
+        ["analyze-state", _write(tmp_path / "state.json", state)],
+        ["classify-map", _write(tmp_path / "map.json", cp_map)],
+    ):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: second factor dimension 17 exceeds the witness library's cap m <= 16\n"
+        )
+    assert searched == []
+
+
 def test_usage_errors(capsys):
     assert main(["classify-map", "builtin:nosuchmap"]) == 1
     capsys.readouterr()
@@ -496,9 +529,9 @@ def test_search_two_restarts_converge(capsys):
 
 
 def test_search_capped_exact_finish_keeps_its_certificate(capsys, caplog):
-    # The winner's exact finish reaches the Dykstra cap (about 1e-7 short
-    # of its gap); the polish and the checked solver must still report a
-    # feasible state and its true violation.
+    # The winner's exact finish reaches the Dykstra cap (about 4e-8 short
+    # of its gap); the shift by that gap and the checked solver must still
+    # report a feasible state and its true violation.
     argv = [
         "search-ppt-entangled", "choi3",
         "--seed", "1145069700", "--budget-restarts", "8", "--budget-iters", "1",

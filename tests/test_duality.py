@@ -187,6 +187,12 @@ def test_compose_matches_action():
     assert (h.dim_in, h.dim_out) == (2, 2)
     x = random_hermitian(stream, 2)
     assert frob(apply_map(h, x) - apply_map(g, apply_map(f, x))) < 1e-11
+    # Bit for bit the one contraction of the two Choi tensors.
+    for n, m, p in [(2, 3, 2), (3, 3, 3), (3, 2, 4), (4, 2, 3)]:
+        f, _ = _random_kraus_map(stream, n, m)
+        g, _ = _random_kraus_map(stream, m, p)
+        c4 = np.einsum("ikjl,kalb->iajb", f.choi4(), g.choi4())
+        assert np.array_equal(compose(g, f).choi, c4.reshape(n * p, n * p))
 
 
 def test_compose_transpose_twice_is_identity():

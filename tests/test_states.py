@@ -56,6 +56,7 @@ from reference import (
     min_eigenpair,
     random_density,
     random_product_mixture,
+    random_hermitian,
     random_pure_mixture,
     witness_battery_per_call,
 )
@@ -424,7 +425,7 @@ def test_random_pure_mixture_is_state():
 def test_dykstra_lands_in_both_cones():
     stream = derive_stream(408, 0)
     x = random_pure_mixture(stream, 9, 2) - 0.05 * np.eye(9)
-    out, _ = _dykstra(x, (3, 3))
+    out, *_ = _dykstra(x, (3, 3), np.zeros_like(x))
     assert np.linalg.eigvalsh(hermitian_part(out))[0] >= -1e-6
     pt = partial_transpose(out, (3, 3), "second")
     assert np.linalg.eigvalsh(hermitian_part(pt))[0] >= -1e-6
@@ -443,7 +444,7 @@ def _first_ascent_candidate() -> np.ndarray:
     mixed = random_product_mixture(stream, 3, 3, states._INIT_PRODUCT_TERMS)
     h = (1.0 - states._INIT_INTERIOR_WEIGHT) * mixed
     h += states._INIT_INTERIOR_WEIGHT * np.eye(9) / 9.0
-    h, _ = _dykstra(h, (3, 3))
+    h, *_ = _dykstra(h, (3, 3), np.zeros_like(h))
     h /= np.trace(h).real
     moved = hermitian_part(apply_to_second(h, (3, 3), witness))
     _, vec = min_eigenpair(moved)
@@ -474,8 +475,7 @@ def test_dykstra_exits_on_gap_near_both_boundaries(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    correction = np.zeros((9, 9), dtype=complex)
-    out, _ = _dykstra(x0, (3, 3), correction)
+    out, correction, _, _ = _dykstra(x0, (3, 3), np.zeros_like(x0))
     # Two eigendecompositions per sweep.
     assert len(calls) // 2 < states._DYKSTRA_ITERATIONS
     assert is_psd(out)[0]
@@ -485,11 +485,9 @@ def test_dykstra_exits_on_gap_near_both_boundaries(monkeypatch):
     assert bound < 3e-5
 
     # The same iteration run to a gap near rounding level.
-    monkeypatch.setattr(states, "_DYKSTRA_GAP", 1e-13)
     monkeypatch.setattr(states, "_DYKSTRA_ITERATIONS", 5000)
     calls.clear()
-    ref_correction = np.zeros((9, 9), dtype=complex)
-    ref, _ = _dykstra(x0, (3, 3), ref_correction)
+    ref, ref_correction, _, _ = _dykstra(x0, (3, 3), np.zeros_like(x0), 1e-13)
     assert len(calls) // 2 < 5000
     ref_bound = _certified_distance(x0, ref, ref_correction, 1e-13)
     assert np.linalg.norm(out - ref) <= bound + ref_bound
@@ -499,7 +497,7 @@ def test_dykstra_cap_is_logged(monkeypatch, caplog):
     x0 = _first_ascent_candidate()
     monkeypatch.setattr(states, "_DYKSTRA_ITERATIONS", 3)
     with caplog.at_level(logging.WARNING, logger="entanglecone.states"):
-        _dykstra(x0, (3, 3))
+        _dykstra(x0, (3, 3), np.zeros_like(x0))
     assert any("cap of 3 iterations" in rec.message for rec in caplog.records)
 
 
@@ -529,26 +527,29 @@ def _history_lengths(monkeypatch, x):
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "solve", recording)
-        out, sweeps = _dykstra(x, (3, 3), np.zeros_like(x))
+        out, _, _, sweeps = _dykstra(x, (3, 3), np.zeros_like(x))
     return out, sweeps, lengths
 
 
 def _assert_stack_matches_each_slice_alone(x, gaps):
-    correction = np.zeros_like(x)
-    out, sweeps = _dykstra(x, (3, 3), correction, None if gaps is None else np.array(gaps))
-    assert out.shape == x.shape and sweeps.shape == (4,)
+    gap = states._DYKSTRA_GAP if gaps is None else np.array(gaps)
+    out, correction, r, sweeps = _dykstra(x, (3, 3), np.zeros_like(x), gap)
+    assert out.shape == correction.shape == x.shape
+    assert r.shape == sweeps.shape == (4,)
     assert len(set(sweeps.tolist())) == 4
     for k in range(4):
-        alone_correction = np.zeros((9, 9), dtype=complex)
-        gap = None if gaps is None else gaps[k]
-        alone, alone_sweeps = _dykstra(x[k], (3, 3), alone_correction, gap)
+        alone, alone_correction, alone_r, alone_sweeps = _dykstra(
+            x[k], (3, 3), np.zeros_like(x[k]), gap if gaps is None else gap[k]
+        )
         assert alone_sweeps == sweeps[k]
-        if gap is None:
+        if gaps is None:
             assert is_psd(out[k])[0]
             assert is_psd(partial_transpose(out[k], (3, 3), "second"))[0]
-        # Bit for bit: each row's projection and final correction are its own.
+        # Bit for bit: each row's projection, final correction and gap are
+        # its own.
         assert np.array_equal(out[k], alone)
         assert np.array_equal(correction[k], alone_correction)
+        assert r[k] == alone_r
 
 
 def test_dykstra_stack_matches_each_slice_alone():
@@ -562,8 +563,8 @@ def test_dykstra_loose_gap_keeps_its_certificate():
     # A loose exit keeps PT(x_pt) PSD exactly and lambda_min(x_pt) >= -r.
     x = _stack_to_project()
     gap = 1e-4
-    exact_out, exact_sweeps = _dykstra(x, (3, 3))
-    out, sweeps = _dykstra(x, (3, 3), gap=gap)
+    _, _, _, exact_sweeps = _dykstra(x, (3, 3), np.zeros_like(x))
+    out, _, _, sweeps = _dykstra(x, (3, 3), np.zeros_like(x), gap)
     assert (sweeps < exact_sweeps).all()
     for k in range(4):
         scale = max(1.0, np.linalg.norm(out[k]))
@@ -593,18 +594,18 @@ def test_dykstra_resets_only_the_history_whose_gap_grew(monkeypatch):
 
 def test_dykstra_cap_names_the_capped_slices(monkeypatch, caplog):
     x = _stack_to_project()
-    _, sweeps = _dykstra(x, (3, 3))
+    *_, sweeps = _dykstra(x, (3, 3), np.zeros_like(x))
     cap = int(sweeps.max()) - 1
     monkeypatch.setattr(states, "_DYKSTRA_ITERATIONS", cap)
     with caplog.at_level(logging.WARNING, logger="entanglecone.states"):
-        out, capped_sweeps = _dykstra(x, (3, 3))
+        out, _, _, capped_sweeps = _dykstra(x, (3, 3), np.zeros_like(x))
     assert any(
         f"cap of {cap} iterations in 1 of 4 matrices" in rec.message
         for rec in caplog.records
     )
     assert capped_sweeps.tolist() == np.minimum(sweeps, cap).tolist()
     for k in range(4):
-        alone, _ = _dykstra(x[k], (3, 3))
+        alone, *_ = _dykstra(x[k], (3, 3), np.zeros_like(x[k]))
         assert np.array_equal(out[k], alone)
 
 
@@ -646,6 +647,39 @@ def test_dykstra_exit_norm_from_the_spectrum(monkeypatch):
         assert (np.abs(s["norm"] - frob) <= 1e-14 * frob).all()
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    dims=st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 3)]),
+    gaps=st.lists(st.sampled_from([1e-9, 1e-6, 1e-3]), min_size=1, max_size=4),
+    warm=st.booleans(),
+)
+@example(seed=0, dims=(3, 3), gaps=[1e-9, 1e-3, 1e-6], warm=True)
+def test_dykstra_record_certifies_its_projection(seed, dims, gaps, warm):
+    # With q = T(v) and p = x0 - x_pt - q, x0 = x_pt + p + q where p and
+    # PT(q) are negative semidefinite and lambda_min(x_pt) >= -r, from
+    # any start v, which the call only reads.
+    stream = derive_stream(seed, 0)
+    d = dims[0] * dims[1]
+    x = np.stack([random_hermitian(stream, d) for _ in gaps])
+    correction = np.zeros_like(x)
+    if warm:
+        correction += np.stack([0.1 * random_hermitian(stream, d) for _ in gaps])
+    start = correction.copy()
+    x_pt, q, r, sweeps = _dykstra(x, dims, correction, np.array(gaps))
+    assert np.array_equal(correction, start)
+    assert (sweeps < states._DYKSTRA_ITERATIONS).all()
+    p = hermitian_part(x) - x_pt - q
+    for k, gap in enumerate(gaps):
+        scale = max(1.0, np.linalg.norm(x_pt[k]))
+        rounding = 1e-13 * max(1.0, np.linalg.norm(x[k]))
+        assert r[k] <= gap * scale
+        assert np.linalg.eigvalsh(hermitian_part(p[k]))[-1] <= rounding
+        pt_q = partial_transpose(q[k], dims, "second")
+        assert np.linalg.eigvalsh(hermitian_part(pt_q))[-1] <= rounding
+        assert np.linalg.eigvalsh(hermitian_part(x_pt[k]))[0] >= -r[k] - rounding
+
+
 def test_search_finds_ppt_entangled_state():
     result = search_ppt_entangled(
         builtin_choi_map(),
@@ -668,6 +702,21 @@ def test_search_finds_ppt_entangled_state():
     assert abs((vec.conj() @ moved @ vec).real - low) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "seed, iterations", [(0, 20), (1, 20), (2, 20), (1145069700, 1)]
+)
+def test_search_reports_a_state_inside_both_cones(seed, iterations):
+    # The finish shifts the winner's projection by its gap r, so both
+    # least eigenvalues are at least about r > 0, not merely -1e-15; in
+    # the last case that projection stops at its cap.
+    result = search_ppt_entangled(
+        builtin_choi_map(), Budget(restarts=8, iterations=iterations), seed=seed
+    )
+    h = hermitian_part(result.state.density)
+    assert np.linalg.eigvalsh(h)[0] >= 0.0
+    assert np.linalg.eigvalsh(partial_transpose(h, (3, 3), "second"))[0] >= 0.0
+
+
 def _start(stream, n):
     """The unprojected search start a restart draws from its stream."""
     mixed = random_product_mixture(stream, n, n, states._INIT_PRODUCT_TERMS)
@@ -680,13 +729,14 @@ def _per_restart_search(witness, budget, seed):
     """Reference: each restart of search_ppt_entangled run on its own.
 
     Returns (violation, restart, h, converged, steps, resets) per
-    restart, h before the finish's last projection and resets the
+    restart, h the state the search would report and resets the
     number of times progress cleared a nonzero plateau count. A restart
     starts from its normalised draw, unprojected. Each candidate is
     projected to the gap its step allows, and the violation is that of
     the loosely projected state; a candidate whose projection has no
-    trace is a rejected step. h is the exact projection of the start or
-    candidate that state came from, the search's finish.
+    trace is a rejected step. h is the search's finish: the exact
+    projection of the start or candidate that state came from, shifted
+    by its gap.
     """
     n = witness.dim_in
     dims = (n, n)
@@ -717,7 +767,7 @@ def _per_restart_search(witness, budget, seed):
                 x = h + step * grad
                 length = step * states._frob_each(grad)
                 gap = max(states._DYKSTRA_GAP, states._ASCENT_GAP_RATIO * length)
-                cand, _ = _dykstra(x, dims, correction, gap)
+                cand, correction, _, _ = _dykstra(x, dims, correction, gap)
                 trace = np.real(np.trace(cand))
                 if trace >= 1e-12:
                     cand = cand / trace
@@ -738,14 +788,16 @@ def _per_restart_search(witness, budget, seed):
             else:
                 resets += plateau > 0
                 plateau = 0
-        h = normalised(_dykstra(source, dims, correction)[0])
+        x_pt, _, gap, _ = _dykstra(source, dims, correction)
+        h = _finish(x_pt, gap)
         runs.append((viol, r, h, converged, steps, resets))
     return runs
 
 
-def _finish(h):
-    """The search's finish: one projection to _FINISH_GAP, normalised."""
-    h, _ = _dykstra(h, (3, 3), gap=states._FINISH_GAP)
+def _finish(x_pt, r):
+    """The search's finish: an exact projection x_pt with gap r, shifted
+    into both cones and normalised."""
+    h = x_pt + r * np.eye(len(x_pt))
     return h / np.real(np.trace(h))
 
 
@@ -755,9 +807,8 @@ def _recorded_dykstra(monkeypatch):
     dykstra = states._dykstra
     calls = []
 
-    def recording(x, dims, correction=None, gap=None):
-        start = None if correction is None else correction.copy()
-        calls.append((x.copy(), start, gap))
+    def recording(x, dims, correction, gap=states._DYKSTRA_GAP):
+        calls.append((x.copy(), correction.copy(), gap))
         return dykstra(x, dims, correction, gap)
 
     monkeypatch.setattr(states, "_dykstra", recording)
@@ -769,16 +820,15 @@ def _assert_lockstep_matches(monkeypatch, witness, budget, runs):
     _, restart, h, converged, _, _ = min(runs, key=lambda run: (-run[0], run[1]))
     calls = _recorded_dykstra(monkeypatch)
     result = search_ppt_entangled(witness, budget, seed=0)
-    # The last projection is the finish's: the winner alone, from no
-    # correction, to _FINISH_GAP.
-    *_, (winner_h, start, gap) = calls
-    assert start is None and gap == states._FINISH_GAP
-    distances = [np.linalg.norm(winner_h - run[2]) for run in runs]
+    # The last projection is the finish's: the winner alone, exact.
+    *_, (source, _, gap) = calls
+    assert source.shape == (9, 9) and gap == states._DYKSTRA_GAP
+    distances = [np.linalg.norm(result.state.density - run[2]) for run in runs]
     assert int(np.argmin(distances)) == restart
     assert distances[restart] <= 1e-12
     assert result.converged == converged
     assert result.iterations == sum(run[4] for run in runs)
-    moved = hermitian_part(apply_to_second(_finish(h), (3, 3), witness))
+    moved = hermitian_part(apply_to_second(h, (3, 3), witness))
     assert abs(result.violation + min_eigenpair(moved)[0]) <= 1e-12
 
 
@@ -813,21 +863,19 @@ def test_collapsed_candidate_is_a_rejected_step(monkeypatch):
     dykstra = states._dykstra
     calls = []
 
-    def collapsing(x, dims, correction=None, gap=None):
-        out, sweeps = dykstra(x, dims, correction, gap)
+    def collapsing(x, dims, correction, gap=states._DYKSTRA_GAP):
+        out, tv, r, sweeps = dykstra(x, dims, correction, gap)
         if not calls:
             # The first ascent projection holds every restart in order.
             out[1] = 0.0
-        calls.append((x.copy(), correction is None and gap is None))
-        return out, sweeps
+        calls.append(x.copy())
+        return out, tv, r, sweeps
 
     monkeypatch.setattr(states, "_dykstra", collapsing)
     witness = builtin_choi_map()
     result = search_ppt_entangled(witness, Budget(restarts=3, iterations=2), seed=4)
-    # The starts are the normalised draws and get no projection: every
-    # projection starts from a correction or has a gap, and the first
-    # steps from the draws.
-    assert not any(fresh for _, fresh in calls)
+    # The starts are the normalised draws and get no projection: the
+    # first projection steps from the draws.
     start = np.stack([_start(derive_stream(4, r), 3) for r in range(3)])
     h = start / np.real(np.trace(start, axis1=1, axis2=2))[:, np.newaxis, np.newaxis]
     _, vec = states._violation(h, (3, 3), witness)
@@ -838,11 +886,11 @@ def test_collapsed_candidate_is_a_rejected_step(monkeypatch):
             map_adjoint(witness),
         )
     )
-    assert np.allclose(calls[0][0], h + states._ASCENT_STEP * grad, rtol=0, atol=1e-15)
+    assert np.allclose(calls[0], h + states._ASCENT_STEP * grad, rtol=0, atol=1e-15)
     # Restart 1's collapsed candidate is rejected: the next projection
     # tries it again from the same state at half the step.
-    halved = (calls[0][0][1] - h[1]) / 2
-    assert any(np.allclose(row - h[1], halved, rtol=0, atol=1e-15) for row in calls[1][0])
+    halved = (calls[0][1] - h[1]) / 2
+    assert any(np.allclose(row - h[1], halved, rtol=0, atol=1e-15) for row in calls[1])
     assert result.iterations == 6
 
 
@@ -879,26 +927,23 @@ def test_first_step_from_a_start_keeps_a_positive_pairing(name, seed, restart):
 
 
 def test_search_projects_the_winner_exactly_once(monkeypatch):
-    # The ascent projects loosely; the finish projects the exact
-    # projection of the winner's stored candidate, normalised, once more
-    # to _FINISH_GAP, and reports that state, normalised.
+    # The ascent projects loosely; the finish projects the winner's
+    # stored candidate exactly, from its restart's correction, and
+    # reports that projection shifted by its gap and normalised.
     dykstra = states._dykstra
     calls = _recorded_dykstra(monkeypatch)
     result = search_ppt_entangled(
         builtin_choi_map(), Budget(restarts=2, iterations=3), seed=1
     )
-    *ascent, (source, start, gap), (winner, finish_start, finish_gap) = calls
-    assert gap is None and source.shape == (9, 9)
+    *ascent, (source, start, gap) = calls
+    assert gap == states._DYKSTRA_GAP and source.shape == (9, 9)
     # The candidate was projected loosely in the ascent.
     assert any(
         (np.asarray(g) > states._DYKSTRA_GAP)[(x == source).all(axis=(1, 2))].any()
         for x, _, g in ascent
-        if g is not None
     )
-    exact, _ = dykstra(source, (3, 3), start.copy())
-    assert np.array_equal(winner, exact / np.real(np.trace(exact)))
-    assert finish_start is None and finish_gap == states._FINISH_GAP
-    assert np.array_equal(result.state.density, _finish(winner))
+    exact, _, r, _ = dykstra(source, (3, 3), start)
+    assert np.array_equal(result.state.density, _finish(exact, r))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -935,17 +980,15 @@ def test_search_logs_one_debug_summary(caplog, monkeypatch):
     ]
     assert summary.getMessage().startswith("search choi3: 2 restarts")
     assert (restarts, steps, caps) == (2, result.iterations, 0)
-    # At least one call per lockstep ascent step, and the finish's two:
-    # the winner's exact projection and its last projection, whose sweeps
-    # both count toward the finish. The starts get no projection: only
-    # the last starts from no correction.
+    # At least one call per lockstep ascent step, and the finish's one:
+    # the winner's exact projection, whose sweeps count toward the
+    # finish. The starts get no projection.
     assert calls == len(recorded)
-    assert [start is None for _, start, _ in recorded] == [False] * (calls - 1) + [True]
-    assert finish >= 2
-    assert calls >= 2 + -(-steps // restarts)
-    assert sweeps >= calls - 2
-    # Four phases: start, ascent, finish and the last projection.
-    assert len(summary.args[7:]) == 4
+    assert finish >= 1
+    assert calls >= 1 + -(-steps // restarts)
+    assert sweeps >= calls - 1
+    # Three phases: start, ascent and finish.
+    assert len(summary.args[7:]) == 3
     assert all(t >= 0.0 for t in summary.args[7:])
 
 
@@ -998,7 +1041,7 @@ def test_search_seed_changes_outcome_details():
     assert not np.array_equal(a.state.density, b.state.density)
 
 
-def test_search_checks_only_the_polished_winner(monkeypatch):
+def test_search_checks_only_the_finished_winner(monkeypatch):
     # The ascent's violations come from the bare solver; the checked one
     # runs once, on the finished winner whose violation is reported.
     checked = []

@@ -26,12 +26,16 @@ job instead:
 
 with k the job's index in its seed's job list. With ``--work`` it runs
 only the three search runs and prints, for each, the totals over its
-jobs of the counts in every search's DEBUG summary:
+jobs of the counts in every search's DEBUG summary, and the least
+eigenvalues of the reported states h and PT(h) over its jobs, read
+from each job's stdout:
 
-    <run> <jobs> ascent <matrix-sweeps> finish <matrix-sweeps> caps <cap hits>
+    <run> <jobs> ascent <sweeps> finish <sweeps> caps <hits> lmin <h> lmin-pt <PT(h)>
 
-Unlike wall time, these counts are exact for fixed jobs, so two trees
-can be compared on one machine or across machines.
+where the sweeps are matrix-sweeps and the hits cap hits.
+
+Unlike wall time, these figures are exact for fixed jobs, so two trees
+can be compared on one machine; the counts also across machines.
 
 Two trees print the same lines exactly when they give every job the
 same exit code and byte-identical stdout; the per-job lines say which
@@ -50,6 +54,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import logging
 import re
 import sys
@@ -143,6 +148,7 @@ def main(argv=None) -> int:
     cli = _import_cli(args.src)
     sys.path.insert(0, str(ROOT / "bench"))
     import jobs
+    import oracles as orc
 
     if args.work:
         work = _WorkTotals()
@@ -158,10 +164,19 @@ def main(argv=None) -> int:
                 if workload != "search":
                     continue
                 work.totals = [0, 0, 0]
-                for _ in outs:
-                    pass
+                low = low_pt = float("inf")
+                for out in outs:
+                    state = json.loads(out.split(b"\n", 1)[1])["state"]
+                    h = orc.matrix_from_doc(state["density"])
+                    pt = orc.partial_transpose(h, tuple(state["dims"]))
+                    low = min(low, orc.least_eigenvalue(h))
+                    low_pt = min(low_pt, orc.least_eigenvalue(pt))
                 a, f, c = work.totals
-                print(f"{run} {len(ks)} ascent {a} finish {f} caps {c}", flush=True)
+                print(
+                    f"{run} {len(ks)} ascent {a} finish {f} caps {c} "
+                    f"lmin {low:.3e} lmin-pt {low_pt:.3e}",
+                    flush=True,
+                )
             elif args.per_job:
                 for k, out in zip(ks, outs):
                     print(f"{run} {k} {hashlib.sha256(out).hexdigest()}", flush=True)
