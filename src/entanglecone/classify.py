@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .duality import (
-    MAX_CHOI_DIM,
     HolevoForm,
     MatrixMap,
     choi_from_action,
@@ -28,7 +27,7 @@ from .duality import (
     kraus_to_map,
     transpose_map,
 )
-from .errors import DimensionError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .linalg import (
     CONVERGENCE,
     DEFAULT_TOL,
@@ -40,6 +39,7 @@ from .linalg import (
     partial_transpose,
     psd_floor,
     psd_verdicts,
+    transpose_second,
 )
 from .rng import complex_unit_vectors, random_unitary, stream_words
 
@@ -297,8 +297,6 @@ def classify_map(
 ) -> MapClassReport:
     """Run the full battery of cone-membership tests on one map."""
     cp, cp_witness = is_cp(f, tol)
-    # The EB verdict's library, first: a dimension it cannot take fails fast.
-    library = default_witness_library(f.dim_out) if cp and f.holevo is None else None
     cop, cop_witness = is_copositive(f, tol)
     best = block_positivity_minimize(f.choi, (f.dim_in, f.dim_out), budget, seed)
     if best.value < psd_floor(f.choi, tol):
@@ -322,10 +320,10 @@ def classify_map(
         eb_certificate = f.holevo
     else:
         # The functional's state C^T is PSD at tol exactly when C is, as
-        # is_cp decided, and is the library's identity output; the EB
-        # witnesses are the entries after the identity, read on C^T.
-        *_, eb_witness_name = library.verdicts(
-            f.choi.T.copy(), (f.dim_in, f.dim_out), tol, slice(1, None)
+        # is_cp decided; the EB witnesses, its partial transpose first,
+        # are read on C^T.
+        *_, eb_witness_name = default_witness_library(f.dim_out).verdicts(
+            f.choi.T.copy(), (f.dim_in, f.dim_out), tol
         )
         if eb_witness_name is not None:
             eb_verdict = EB_ENTANGLED
@@ -374,63 +372,58 @@ def builtin_choi_map() -> MatrixMap:
 
 @dataclass(eq=False)
 class WitnessLibrary:
-    """Named positive maps applied as id (x) psi to states, by the state
-    battery and by classify_map. ``choi4`` stacks the entries' Choi
-    tensors in order, read-only, so verdicts evaluates them in one pass.
-    """
+    """Named positive maps on M_m, applied as id (x) psi by the state battery
+    and classify_map; ``choi4`` stacks their Choi tensors in order, read-only,
+    or is None without entries, so verdicts evaluates them in one pass."""
 
     entries: tuple[tuple[str, MatrixMap], ...]
-    choi4: np.ndarray = field(init=False)
+    choi4: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        self.choi4 = np.stack([f.choi4() for _, f in self.entries])
-        self.choi4.flags.writeable = False
+        if self.entries:
+            self.choi4 = np.stack([f.choi4() for _, f in self.entries])
+            self.choi4.flags.writeable = False
+
+    def names(self, m: int) -> list[str]:
+        """The names of the rows of verdicts on a second factor m."""
+        return [f"transpose{m}"] + [name for name, _ in self.entries]
 
     def verdicts(
         self,
         density: np.ndarray,
         dims: tuple[int, int],
         tol: Tolerances = DEFAULT_TOL,
-        entries: slice = slice(None),
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str | None]:
-        """psd_verdicts at tol of the Hermitian part of (id (x) phi)(density)
-        for each map phi of the slice ``entries``, each as apply_to_second
-        evaluates it, and the name of the first entry that fails, or None:
+        """psd_verdicts at tol, from one checked stack, of the density's
+        second-factor partial transpose, then of the Hermitian part of
+        (id (x) phi)(density) for each entry phi, as apply_to_second
+        evaluates it; and the name of the first row that fails, or None:
         the certificate the state battery and classify_map report."""
         n, m = dims
-        choi4 = self.choi4[entries]
-        out = np.einsum("ikjl,skalb->siajb", density.reshape(n, m, n, m), choi4)
-        p = choi4.shape[-1]
-        out = hermitian_part(out.reshape(len(choi4), n * p, n * p))
-        ok, low, vec = psd_verdicts(out, tol)
+        stack = transpose_second(density, dims)[np.newaxis]
+        if self.entries:
+            x4 = density.reshape(n, m, n, m)
+            out = np.einsum("ikjl,skalb->siajb", x4, self.choi4)
+            out = hermitian_part(out.reshape(len(self.entries), n * m, n * m))
+            stack = np.concatenate([stack, out])
+        ok, low, vec = psd_verdicts(stack, tol)
         failing = np.flatnonzero(~ok)
-        first = self.entries[entries][failing[0]][0] if failing.size else None
+        first = self.names(m)[failing[0]] if failing.size else None
         return ok, low, vec, first
 
 
 @functools.lru_cache(maxsize=8)
 def default_witness_library(m: int) -> WitnessLibrary:
-    """Positive maps with input dimension m.
+    """Positive maps on M_m beyond the transpose, whose output, the
+    partial transpose, verdicts reads first for every m.
 
-    Always starts with identity{m} and transpose{m}, in that order: the
-    state battery reads their outputs as its density check and its PPT
-    verdict, and classify_map, whose CP verdict is the density check,
-    reads the entries after the identity. For m = 3 it adds
-    the builtin witness map, a composition with the transpose, and two
-    unitary twists a phi(b x b*) a*, which stay positive and widen the
-    set of detectable states. Every entry is positive by construction;
-    the test suite checks each for block positivity. An m with m^2 above
-    MAX_CHOI_DIM raises DimensionError.
+    Empty except for m = 3, where it holds the builtin witness map, a
+    composition with the transpose, and two unitary twists
+    a phi(b x b*) a*, which stay positive and widen the set of
+    detectable states. Every entry is positive by construction; the
+    test suite checks each for block positivity.
     """
-    if m * m > MAX_CHOI_DIM:
-        raise DimensionError(
-            f"second factor dimension {m} exceeds the witness library's cap "
-            f"m <= {int(MAX_CHOI_DIM**0.5)}"
-        )
-    entries: list[tuple[str, MatrixMap]] = [
-        (f"identity{m}", identity_map(m)),
-        (f"transpose{m}", transpose_map(m)),
-    ]
+    entries: list[tuple[str, MatrixMap]] = []
     if m == 3:
         base = builtin_choi_map()
         entries.append(("choi3", base))

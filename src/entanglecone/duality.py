@@ -15,7 +15,7 @@ exact, which the tests exercise as a roundtrip identity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .linalg import (
     hermitian_deviation,
     is_psd,
     kron,
+    psd_verdicts,
 )
 
 # Cap on n*m, the side of a map's Choi matrix, checked before the Choi
@@ -110,6 +111,7 @@ class MatrixMap:
         n, m = self.dim_in, self.dim_out
         if n < 1 or m < 1:
             raise DimensionError("map dimensions must be positive")
+        _check_choi_size(n, m)
         self.choi = as_matrix(self.choi)
         if self.choi.shape != (n * m, n * m):
             raise DimensionError(
@@ -127,17 +129,25 @@ class MatrixMap:
 
 @dataclass(eq=False)
 class BipartiteState:
-    """An unnormalized state (PSD matrix with positive trace) on M_n (x) M_m."""
+    """An unnormalized state (PSD matrix with positive trace) on M_n (x) M_m,
+    with the least eigenvalue of the one checked spectrum that finds it PSD
+    at the default slack; a density that fails raises DomainError with that
+    spectrum's least eigenvector as its ``witness``."""
 
     dims: tuple[int, int]
     density: np.ndarray
+    min_eigenvalue: float = field(init=False)
 
     def __post_init__(self) -> None:
         n, m = self.dims
         self.dims = (int(n), int(m))
         self.density = check_bipartite(self.density, self.dims)
-        if not is_psd(self.density)[0]:
-            raise DomainError("state density is not PSD within tolerance")
+        ok, low, vec = psd_verdicts(self.density)
+        if not ok:
+            err = DomainError("state density is not PSD within tolerance")
+            err.witness = vec
+            raise err
+        self.min_eigenvalue = float(low)
         if self.mass <= 0.0:
             raise DomainError("state must have positive trace")
 
@@ -250,21 +260,18 @@ def state_from_map(f: MatrixMap) -> BipartiteState:
     The density is the global transpose of the Choi matrix; it is PSD
     exactly when the map is completely positive, so non-CP maps are
     rejected here, by the PSD verdict at the default slack that
-    BipartiteState takes. A second spectrum is taken only to name the
-    witness of a rejection.
+    BipartiteState takes, with the witness its spectrum names.
     """
-    density = f.choi.T.copy()
     try:
-        return BipartiteState((f.dim_in, f.dim_out), density)
-    except DomainError:
-        ok, witness = is_psd(density)
-        if not ok:
-            err = DomainError(
-                "map is not completely positive, its functional is not a state"
-            )
-            err.witness = witness
-            raise err
-        raise
+        return BipartiteState((f.dim_in, f.dim_out), f.choi.T.copy())
+    except DomainError as exc:
+        if not hasattr(exc, "witness"):
+            raise
+        err = DomainError(
+            "map is not completely positive, its functional is not a state"
+        )
+        err.witness = exc.witness
+        raise err
 
 
 def map_from_state(s: BipartiteState) -> MatrixMap:

@@ -33,6 +33,7 @@ from .linalg import (
     is_psd,
     kron,
     partial_transpose,
+    psd_floor,
     transpose_second,
 )
 from .rng import gaussians, next_floats, stream_words, unit_rows
@@ -111,14 +112,12 @@ def witness_battery(
 ) -> StateReport:
     """Apply default_witness_library to the second factor; collect verdicts.
 
-    Every check comes from one stacked spectrum, one output per map of
-    the library. The
-    library's first two entries give the checks every state needs: the
-    identity's output is the density itself, which must be PSD within
-    tol's slack or DomainError is raised, and the transpose's output is
-    the second-factor partial transpose, whose verdict, least eigenvalue
-    and eigenvector are the report's PPT fields. So a state that is not
-    PPT is always caught, by the transpose entry at least.
+    The density must be PSD within tol's slack, or DomainError is
+    raised; the least eigenvalue BipartiteState took decides that. Every
+    other check comes from the one stacked spectrum of
+    WitnessLibrary.verdicts: its first row, the second-factor partial
+    transpose, gives the report's PPT verdict, least eigenvalue and
+    eigenvector, so a state that is not PPT is always caught.
 
     A separable certificate attached by the caller (states built from
     an explicit product ensemble) turns the verdict into
@@ -130,16 +129,16 @@ def witness_battery(
     the battery takes that route no second time; peres_equivalence does,
     and the test suite checks the theorem with it.
     """
-    library = default_witness_library(s.dims[1])
-    ok, low, vec, first = library.verdicts(s.density, s.dims, tol)
     # BipartiteState checked PSD at the default slack; the hits below use
     # tol's, so a density that dips below that slack is no state.
-    if not ok[0]:
+    if s.min_eigenvalue < psd_floor(hermitian_part(s.density), tol):
         raise DomainError("state density is not PSD within tolerance")
-    ppt = bool(ok[1])
+    library = default_witness_library(s.dims[1])
+    ok, low, vec, first = library.verdicts(s.density, s.dims, tol)
+    ppt = bool(ok[0])
     hits = [
         WitnessHit(name, float(value), vector)
-        for (name, _), passed, value, vector in zip(library.entries, ok, low, vec)
+        for name, passed, value, vector in zip(library.names(s.dims[1]), ok, low, vec)
         if not passed
     ]
 
@@ -165,8 +164,8 @@ def witness_battery(
         dims=s.dims,
         mass=s.mass,
         ppt=ppt,
-        ppt_witness=None if ppt else vec[1],
-        ppt_min_eigenvalue=float(low[1]),
+        ppt_witness=None if ppt else vec[0],
+        ppt_min_eigenvalue=float(low[0]),
         entanglement=verdict,
         certificate_name=cert_name,
         certificate_vector=cert_vec,

@@ -208,17 +208,20 @@ def first_noncommuting_pair(f: MatrixMap) -> tuple[tuple[int, int], float] | Non
 
 def witness_battery_per_call(s: BipartiteState, tol: Tolerances) -> StateReport:
     """states.witness_battery, without a separable certificate, one checked
-    call per matrix: each library entry's output through apply_to_second
-    and psd_verdicts, then the Peres route the battery leaves out, is_cp
-    of the dual map and is_psd of the first-factor partial transpose."""
-    entries = default_witness_library(s.dims[1]).entries
-    verdicts = [
-        psd_verdicts(hermitian_part(apply_to_second(s.density, s.dims, psi)), tol)
-        for _, psi in entries
-    ]
-    if not verdicts[0][0]:
+    call per matrix: the density, its partial transpose, and each library
+    entry's output through apply_to_second, each through psd_verdicts,
+    then the Peres route the battery leaves out, is_cp of the dual map and
+    is_psd of the first-factor partial transpose."""
+    m = s.dims[1]
+    library = default_witness_library(m)
+    if not psd_verdicts(hermitian_part(s.density), tol)[0]:
         raise DomainError("state density is not PSD within tolerance")
-    ppt, ppt_low, ppt_vec = verdicts[1]
+    names = [f"transpose{m}"] + [name for name, _ in library.entries]
+    verdicts = [psd_verdicts(partial_transpose(s.density, s.dims, "second"), tol)] + [
+        psd_verdicts(hermitian_part(apply_to_second(s.density, s.dims, psi)), tol)
+        for _, psi in library.entries
+    ]
+    ppt, ppt_low, ppt_vec = verdicts[0]
     cp_dual = is_cp(map_from_state(s), tol)[0]
     copositive_dual = is_psd(partial_transpose(s.density, s.dims, "first"), tol)[0]
     if ppt != copositive_dual:
@@ -227,7 +230,7 @@ def witness_battery_per_call(s: BipartiteState, tol: Tolerances) -> StateReport:
         )
     hits = tuple(
         WitnessHit(name, float(low), vec)
-        for (name, _), (ok, low, vec) in zip(entries, verdicts)
+        for name, (ok, low, vec) in zip(names, verdicts)
         if not ok
     )
     return StateReport(

@@ -264,6 +264,17 @@ def test_eb_verdict_equals_the_battery_on_the_maps_state(n, m, ops, slack, seed)
     assert report.eb_witness_name == battery.certificate_name
 
 
+def test_eb_witness_of_a_large_second_factor_is_the_partial_transpose():
+    # An isometry M_2 -> M_17 has a rank-one entangled state; the library
+    # holds no map for m = 17, so the partial transpose row detects it.
+    v = np.zeros((17, 2), dtype=complex)
+    v[0, 0] = v[16, 1] = 1.0
+    report = classify_map(kraus_to_map([v]), Budget(restarts=2, iterations=20))
+    assert report.cp
+    assert report.eb_verdict == "certified-entangled-choi"
+    assert report.eb_witness_name == "transpose17"
+
+
 def test_classify_random_holevo_cp_and_copositive():
     stream = derive_stream(303, 0)
     for _ in range(20):
@@ -302,15 +313,9 @@ def test_builtin_map_registry():
 
 
 _LIBRARY_NAMES = {
-    2: ["identity2", "transpose2"],
-    3: [
-        "identity3",
-        "transpose3",
-        "choi3",
-        "choi3-post-t",
-        "choi3-twist1",
-        "choi3-twist2",
-    ],
+    2: [],
+    3: ["choi3", "choi3-post-t", "choi3-twist1", "choi3-twist2"],
+    17: [],
 }
 
 
@@ -318,12 +323,19 @@ def test_default_witness_library_contents():
     for m, names in _LIBRARY_NAMES.items():
         lib = default_witness_library(m)
         assert [name for name, _ in lib.entries] == names
+        # The partial transpose is the first row of every pass.
+        assert lib.names(m) == [f"transpose{m}"] + names
         # The battery's stack holds every entry's Choi tensor, in order.
-        assert lib.choi4.shape == (len(names), m, m, m, m)
-        for (_, f), c4 in zip(lib.entries, lib.choi4):
-            assert np.array_equal(c4, f.choi4())
+        if names:
+            assert lib.choi4.shape == (len(names), m, m, m, m)
+            for (_, f), c4 in zip(lib.entries, lib.choi4):
+                assert np.array_equal(c4, f.choi4())
+        else:
+            assert lib.choi4 is None
         # Cached: repeated calls return the same object.
         assert default_witness_library(m) is lib
+    # No second factor is too large: the library builds no map to cap.
+    assert default_witness_library(256).entries == ()
     # The builtin map's transpose conjugate is no entry: its Choi matrix is
     # real symmetric, so that map is the builtin map, bit for bit.
     base = builtin_choi_map()

@@ -296,28 +296,33 @@ def test_unknown_builtin_is_one_usage_error(capsys):
         assert captured.err == "usage error: unknown builtin map 'choi4'\n"
 
 
-def test_second_factor_above_the_library_cap_fails_first(tmp_path, capsys, monkeypatch):
-    # A valid (1, 17) state and a CP map into M_17 name the dimension the
-    # user gave, and classify-map fails before its block-positivity search.
-    from entanglecone import classify
-
-    searched = []
-    monkeypatch.setattr(
-        classify, "block_positivity_minimize", lambda *args: searched.append(args)
-    )
+def test_second_factor_above_16_is_analysed(tmp_path, capsys):
+    # The battery's PPT row is the density's own partial transpose, so a
+    # (1, 17) state and a CP map into M_17 are no larger than the Choi cap.
     state = state_to_json(BipartiteState((1, 17), np.eye(17) / 17.0))
+    code, out = _run(capsys, ["analyze-state", _write(tmp_path / "state.json", state)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["ppt"] is True
+    assert report["entanglement"] == "inconclusive"
     cp_map = map_to_json(MatrixMap(1, 17, np.eye(17)))
-    for argv in (
-        ["analyze-state", _write(tmp_path / "state.json", state)],
-        ["classify-map", _write(tmp_path / "map.json", cp_map)],
-    ):
+    code, out = _run(capsys, ["classify-map", _write(tmp_path / "map.json", cp_map), *_REDUCED])
+    assert code == 0
+    report = json.loads(out)
+    assert report["cp"] is True
+    assert report["eb_verdict"] == "inconclusive"
+
+
+def test_choi_document_above_the_cap_exits_3(tmp_path, capsys):
+    # A Choi matrix handed in whole meets the cap that Kraus and Holevo
+    # documents meet before their Choi matrix is built.
+    doc = {"dim_in": 17, "dim_out": 17, "repr": "choi", "choi": matrix_to_json(np.eye(289))}
+    path = _write(tmp_path / "big.json", doc)
+    for argv in (["choi", path], ["classify-map", path]):
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: second factor dimension 17 exceeds the witness library's cap m <= 16\n"
-        )
-    assert searched == []
+        assert captured.err == "error: map dims (17, 17) exceed the cap n*m <= 256\n"
 
 
 def test_usage_errors(capsys):

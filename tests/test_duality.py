@@ -28,9 +28,11 @@ from entanglecone.linalg import (
     Tolerances,
     e_matrix,
     frob,
+    is_psd,
     kron,
     partial_trace,
     partial_transpose,
+    psd_verdicts,
 )
 from reference import (
     derive_stream,
@@ -218,20 +220,39 @@ def test_state_from_map_rejects_non_cp_with_witness():
     assert value < -1e-9
 
 
+def test_state_keeps_the_least_eigenvalue_of_its_one_spectrum(eigh_inputs):
+    # The checked spectrum that accepts a density also gives the least
+    # eigenvalue the battery's density check reads; one that rejects it
+    # names the least eigenvector.
+    h = random_density(derive_stream(214, 0), 6)
+    s = BipartiteState((2, 3), h)
+    assert len(eigh_inputs) == 1
+    assert s.min_eigenvalue == float(psd_verdicts(h)[1])
+    bad = h - (s.min_eigenvalue + 1e-6) * np.eye(6)
+    eigh_inputs.clear()
+    with pytest.raises(DomainError, match="state density is not PSD") as info:
+        BipartiteState((2, 3), bad)
+    assert len(eigh_inputs) == 1
+    assert info.value.witness.tobytes() == is_psd(bad)[1].tobytes()
+
+
 def test_state_from_map_one_spectrum_and_tolerances(eigh_inputs):
     f = identity_map(2)
     state_from_map(f)
     assert len(eigh_inputs) == 1
     # Negative beyond the default slack: the rejection names its witness.
+    # One spectrum gives the verdict and the witness.
     dip = MatrixMap(2, 2, f.choi - 1e-7 * np.eye(4))
+    eigh_inputs.clear()
     with pytest.raises(DomainError, match="not completely positive") as info:
         state_from_map(dip)
-    assert getattr(info.value, "witness", None) is not None
+    assert len(eigh_inputs) == 1
+    assert info.value.witness.tobytes() == is_psd(dip.choi.T)[1].tobytes()
 
     # classify_map on a CP map never diagonalises the state density: its
-    # CP verdict at tol is the density check, and the EB witnesses after
-    # the identity are read on it as one stack. So it makes three checked
-    # 9x9 calls (C, PT2 C and the stack of 5) covering 7 matrices.
+    # CP verdict at tol is the density check, and its partial transpose
+    # and the EB witnesses are read on it as one stack. So it makes three
+    # checked 9x9 calls (C, PT2 C and the stack of 5) covering 7 matrices.
     g, _ = _random_kraus_map(derive_stream(213, 0), 3, 3)
     density = g.choi.T
     budget = Budget(restarts=2, iterations=20)
@@ -258,6 +279,9 @@ def test_choi_size_cap_checked_before_allocation():
         kraus_to_map([np.zeros((257, 1))])
     with pytest.raises(DimensionError):
         holevo_to_map(HolevoForm(((np.eye(17), np.eye(16)),)))
+    # A Choi matrix handed in whole is held to the same cap.
+    with pytest.raises(DimensionError, match=r"map dims \(17, 17\) exceed"):
+        MatrixMap(17, 17, np.eye(289))
     assert identity_map(16).choi.shape == (256, 256)
 
 

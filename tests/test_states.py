@@ -30,7 +30,7 @@ from entanglecone.duality import (
     state_from_map,
     transpose_map,
 )
-from entanglecone.errors import NumericalError
+from entanglecone.errors import DomainError, NumericalError
 from entanglecone.linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -108,14 +108,15 @@ def test_battery_diagonalises_each_partial_transpose_once(eigh_inputs):
     # White noise makes the PPT variant; the spectra are the same either way.
     h = random_pure_mixture(derive_stream(409, 0), 9, 2)
     g = random_pure_mixture(derive_stream(409, 1), 4, 2)
-    # The six library outputs; on a 2x2 state the library is identity2
-    # and transpose2.
+    # The partial transpose and the four choi3 outputs; on a 2x2 state
+    # the partial transpose alone. The density is not diagonalised again:
+    # its check reads the least eigenvalue BipartiteState took.
     # The Peres condition makes the dual map's Choi matrix and the
     # first-factor partial transpose redundant, so neither is diagonalised.
     for ppt, dims, density, count in [
-        (False, (3, 3), h, 6),
-        (True, (3, 3), 0.1 * h + 0.9 * np.eye(9) / 9, 6),
-        (False, (2, 2), g, 2),
+        (False, (3, 3), h, 5),
+        (True, (3, 3), 0.1 * h + 0.9 * np.eye(9) / 9, 5),
+        (False, (2, 2), g, 1),
     ]:
         s = BipartiteState(dims, density)
         witness_battery(s)
@@ -128,7 +129,8 @@ def test_battery_diagonalises_each_partial_transpose_once(eigh_inputs):
         assert not np.array_equal(first, second)
         assert _equal_count(eigh_inputs, first) == 0
         assert _equal_count(eigh_inputs, dual) == 0
-        # The transpose witness gives the PPT verdict.
+        assert _equal_count(eigh_inputs, hermitian_part(s.density)) == 0
+        # The stack's first row gives the PPT verdict.
         assert _equal_count(eigh_inputs, second) == 1
         assert len(eigh_inputs) == 1
         assert len(eigh_inputs[0]) == count
@@ -137,20 +139,19 @@ def test_battery_diagonalises_each_partial_transpose_once(eigh_inputs):
 
 def _assert_one_map_at_a_time(s, library):
     """The library's stacked pass equals, bit for bit, the verdicts of
-    each map's own apply_to_second output, also over the entries after
-    the first, as classify_map reads them; each pass names its first
-    failing entry."""
+    the partial transpose and of each map's own apply_to_second output,
+    one at a time, and names its first failing row."""
     *stacked, first = library.verdicts(s.density, s.dims)
-    *tail, tail_first = library.verdicts(s.density, s.dims, DEFAULT_TOL, slice(1, None))
-    for got, want in zip(tail, stacked):
-        assert got.tobytes() == want[1:].tobytes()
-    names = [name for name, _ in library.entries]
+    names = library.names(s.dims[1])
+    assert len(stacked[0]) == len(names)
     failing = [name for name, ok in zip(names, stacked[0]) if not ok]
     assert first == (failing[0] if failing else None)
-    assert tail_first == next((n for n in failing if n != names[0]), None)
-    for i, (_, psi) in enumerate(library.entries):
-        single = psd_verdicts(hermitian_part(apply_to_second(s.density, s.dims, psi)))
-        for got, want in zip(stacked, single):
+    rows = [partial_transpose(s.density, s.dims)] + [
+        hermitian_part(apply_to_second(s.density, s.dims, psi))
+        for _, psi in library.entries
+    ]
+    for i, row in enumerate(rows):
+        for got, want in zip(stacked, psd_verdicts(row)):
             assert got[i].tobytes() == want.tobytes()
     return stacked
 
@@ -205,11 +206,14 @@ def test_battery_equals_the_per_call_reference(n, m, rank, noise, slack, seed):
 @pytest.mark.parametrize("row", ["transpose3", "choi3-twist1"])
 def test_stacked_residual_fault_raises_as_the_separate_call(monkeypatch, row):
     # eigh returns a wrong spectrum for one matrix of the stack only: the
-    # output of the transpose or of a twisted Choi map. The battery raises
-    # what is_psd on that output alone raises.
+    # partial transpose or the output of a twisted Choi map. The battery
+    # raises what is_psd on that matrix alone raises.
     s = BipartiteState((3, 3), random_pure_mixture(derive_stream(411, 0), 9, 2))
-    psi = dict(default_witness_library(3).entries)[row]
-    target = apply_to_second(s.density, s.dims, psi)
+    if row == "transpose3":
+        target = partial_transpose(s.density, s.dims)
+    else:
+        psi = dict(default_witness_library(3).entries)[row]
+        target = apply_to_second(s.density, s.dims, psi)
     faulty_input = hermitian_part(target)
     real = np.linalg.eigh
 
@@ -413,6 +417,46 @@ def test_ppt_check_agrees_with_the_battery(kind, n, m, seed, weight):
     assert (witness is None) == (report.ppt_witness is None)
     if kind == "product":
         assert ok
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (1, 17)]),
+    rank=st.integers(1, 4),
+    edge=st.booleans(),
+    shift=st.sampled_from([0.0, -1e-12, -3e-10, -8e-10]),
+    slack=st.sampled_from([1e-9, 1e-10, 1e-16]),
+    ulps=st.integers(-8, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_battery_density_and_ppt_verdicts_are_is_psd(
+    dims, rank, edge, shift, slack, ulps, seed
+):
+    # The density check reads the least eigenvalue BipartiteState took,
+    # the PPT fields the first row of the battery's stack: each is what
+    # is_psd finds on the density and on its partial transpose, bit for
+    # bit. Draws sit on the PPT edge, or shift a rank-deficient density's
+    # zero eigenvalues across the density floor of each slack; the
+    # density is Hermitian bit for bit, so both checks see one norm.
+    d = dims[0] * dims[1]
+    s = _state_at_the_ppt_edge(*dims, rank, seed, slack, ulps) if edge else None
+    h = random_pure_mixture(derive_stream(seed, 0), d, rank) if s is None else s.density
+    s = BipartiteState(dims, hermitian_part(h + shift * np.eye(d)))
+    tol = Tolerances(slack)
+    if not is_psd(s.density, tol)[0]:
+        with pytest.raises(DomainError, match="state density is not PSD"):
+            witness_battery(s, tol)
+        return
+    report = witness_battery(s, tol)
+    pt = partial_transpose(s.density, s.dims)
+    ok, low, vec = psd_verdicts(pt, tol)
+    ppt, witness = is_psd(pt, tol)
+    assert report.ppt == ok == ppt
+    assert report.ppt_min_eigenvalue.hex() == float(low).hex()
+    if ppt:
+        assert report.ppt_witness is None
+    else:
+        assert report.ppt_witness.tobytes() == witness.tobytes() == vec.tobytes()
 
 
 def test_random_pure_mixture_is_state():
