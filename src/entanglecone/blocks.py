@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -63,11 +63,17 @@ VERDICT_ENTANGLED = "entangled"
 
 @dataclass(eq=False)
 class SeparableEnsemble:
-    """Convex combination sum_i w_i a_i (x) b_i of product densities."""
+    """Convex combination sum_i w_i a_i (x) b_i of product densities, each
+    factor PSD at tol's slack; the checked terms are kept stacked too, in
+    term order, as ``weights`` (k,), ``a`` (k, n, n) and ``b`` (k, m, m)."""
 
     terms: tuple[tuple[float, np.ndarray, np.ndarray], ...]
+    tol: InitVar[Tolerances] = DEFAULT_TOL
+    weights: np.ndarray = field(init=False)
+    a: np.ndarray = field(init=False)
+    b: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, tol: Tolerances) -> None:
         if not self.terms:
             raise DomainError("ensemble needs at least one term")
         checked = []
@@ -94,14 +100,15 @@ class SeparableEnsemble:
                 f"{MAX_ENSEMBLE_ENTRIES}"
             )
         self.terms = tuple(checked)
+        weights, a, b = zip(*checked)
+        self.weights, self.a, self.b = np.array(weights), np.stack(a), np.stack(b)
         # One spectrum per side. Of the terms failing these checks the
         # first reports, a before b and positivity before trace.
-        _, a, b = _stacked(self)
         faults = []
-        for label, factors in (("a", a), ("b", b)):
+        for label, factors in (("a", self.a), ("b", self.b)):
             trace = np.trace(factors, axis1=-2, axis2=-1).real
             faults += [
-                (~psd_verdicts(factors)[0], f"ensemble factor {label} is not PSD"),
+                (~psd_verdicts(factors, tol)[0], f"ensemble factor {label} is not PSD"),
                 (np.abs(trace - 1.0) > 1e-9,
                  f"ensemble factor {label} must have trace one"),
             ]
@@ -116,16 +123,15 @@ class SeparableEnsemble:
     def density_matrix(self) -> np.ndarray:
         """sum_i w_i a_i (x) b_i, not re-proven PSD."""
         n, m = self.dims
-        weights, a, b = _stacked(self)
         # The weighted products fold in term order starting from zero
         # (np.add.at is unbuffered): the term-by-term sum, bit for bit.
-        products = weights[:, None, None] * kron(a, b)
+        products = self.weights[:, None, None] * kron(self.a, self.b)
         density = np.zeros((1, n * m, n * m), dtype=np.complex128)
-        np.add.at(density, np.zeros(len(weights), dtype=int), products)
+        np.add.at(density, np.zeros(len(self.weights), dtype=int), products)
         return density[0]
 
-    def to_state(self) -> BipartiteState:
-        return BipartiteState(self.dims, self.density_matrix())
+    def to_state(self, tol: Tolerances = DEFAULT_TOL) -> BipartiteState:
+        return BipartiteState(self.dims, self.density_matrix(), tol)
 
     def to_holevo(self) -> HolevoForm:
         """The Holevo-form map whose dual functional is this ensemble.
@@ -135,15 +141,6 @@ class SeparableEnsemble:
         to_state() exactly.
         """
         return HolevoForm(tuple((w * a, b.T.copy()) for w, a, b in self.terms))
-
-
-def _stacked(ens: SeparableEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The weights (k,) and factor stacks (k, n, n), (k, m, m) of the terms."""
-    return (
-        np.array([w for w, _, _ in ens.terms]),
-        np.stack([a for _, a, _ in ens.terms]),
-        np.stack([b for _, _, b in ens.terms]),
-    )
 
 
 @dataclass(eq=False)
@@ -241,7 +238,7 @@ def decompose_separable(
     """
     k = len(ens.terms)
     n, m = ens.dims
-    weights, a, b = _stacked(ens)
+    weights, a, b = ens.weights, ens.a, ens.b
 
     # Tr(P_i P_j) for every pair of term supports, one Gram matrix a side.
     related = np.zeros((k, k), dtype=bool)

@@ -2,14 +2,13 @@
 
 Exit codes: 0 success, 1 usage error or stdout closed by its reader,
 2 parse error, 3 numerical or domain error, 4 search finished without
-finding a state. Reports go to stdout; logging and diagnostics go to
-stderr so stdout stays byte deterministic for fixed inputs, seed and
-budget.
+finding a state. Reports go to stdout, byte deterministic for fixed
+inputs, seed and budget; diagnostics go to stderr. main configures no
+logging, so unless the caller does, warnings reach stderr bare.
 """
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 
@@ -42,19 +41,6 @@ EXIT_NOT_FOUND = 4
 
 class _UsageError(Exception):
     pass
-
-
-class _StderrHandler(logging.StreamHandler):
-    """Writes each record to sys.stderr as it is when the record is
-    emitted, so a caller that redirects stderr per call gets its own."""
-
-    def __init__(self) -> None:
-        # StreamHandler's own __init__ would assign the read-only stream.
-        logging.Handler.__init__(self)
-
-    @property
-    def stream(self):
-        return sys.stderr
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,10 +162,6 @@ def _resolve_map(source: str) -> MatrixMap:
     return map_from_json(load_json_file(source))
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(psd_slack=args.tol_psd)
-
-
 def _budget(args) -> Budget:
     return Budget(restarts=args.budget_restarts, iterations=args.budget_iters)
 
@@ -206,20 +188,18 @@ def _cmd_choi(args) -> int:
 def _cmd_classify(args) -> int:
     budget = _budget(args)  # reject an oversized budget before any work
     f = _resolve_map(args.map)
-    report = classify_map(f, budget, args.seed, _tolerances(args))
+    report = classify_map(f, budget, args.seed, args.tol)
     _emit(report_to_json(report), args)
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
-    parsed = state_document_from_json(load_json_file(args.state))
+    parsed = state_document_from_json(load_json_file(args.state), args.tol)
     separable = isinstance(parsed, SeparableEnsemble)
-    state: BipartiteState = parsed.to_state() if separable else parsed
+    state: BipartiteState = parsed.to_state(args.tol) if separable else parsed
     if args.normalize:
-        state = state.normalized()
-    report = witness_battery(
-        state, tol=_tolerances(args), separable_certificate=separable
-    )
+        state = state.normalized(args.tol)
+    report = witness_battery(state, tol=args.tol, separable_certificate=separable)
     _emit(report_to_json(report), args)
     return EXIT_OK
 
@@ -228,7 +208,7 @@ def _cmd_decompose(args) -> int:
     parsed = state_document_from_json(load_json_file(args.ensemble))
     if not isinstance(parsed, SeparableEnsemble):
         raise ParseError("decompose requires a state file with ensemble repr")
-    result = decompose_separable(parsed, _tolerances(args))
+    result = decompose_separable(parsed, args.tol)
     _emit(report_to_json(result), args)
     return EXIT_OK
 
@@ -240,7 +220,7 @@ def _cmd_search(args) -> int:
         witness,
         budget=budget,
         seed=args.seed,
-        tol=_tolerances(args),
+        tol=args.tol,
         witness_name=args.witness,
     )
     _emit(report_to_json(result), args, state_to_json(result.state))
@@ -269,12 +249,9 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    # A caller's own logging configuration wins.
-    if not logging.getLogger().handlers:
-        logging.basicConfig(handlers=[_StderrHandler()], level=logging.WARNING)
     try:
         args = _PARSER.parse_args(argv)
-        _tolerances(args)  # reject out-of-range --tol-psd uniformly
+        args.tol = Tolerances(psd_slack=args.tol_psd)  # checked before any work
         code = _DISPATCH[args.command](args)
         sys.stdout.flush()  # a closed reader surfaces here, not at exit
         return code

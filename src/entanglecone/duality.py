@@ -15,13 +15,14 @@ exact, which the tests exercise as a roundtrip identity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericalError
 from .linalg import (
     DEFAULT_TOL,
+    Tolerances,
     as_matrix,
     check_bipartite,
     e_matrix,
@@ -131,18 +132,19 @@ class MatrixMap:
 class BipartiteState:
     """An unnormalized state (PSD matrix with positive trace) on M_n (x) M_m,
     with the least eigenvalue of the one checked spectrum that finds it PSD
-    at the default slack; a density that fails raises DomainError with that
+    at tol's slack; a density that fails raises DomainError with that
     spectrum's least eigenvector as its ``witness``."""
 
     dims: tuple[int, int]
     density: np.ndarray
+    tol: InitVar[Tolerances] = DEFAULT_TOL
     min_eigenvalue: float = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, tol: Tolerances) -> None:
         n, m = self.dims
         self.dims = (int(n), int(m))
         self.density = check_bipartite(self.density, self.dims)
-        ok, low, vec = psd_verdicts(self.density)
+        ok, low, vec = psd_verdicts(self.density, tol)
         if not ok:
             err = DomainError("state density is not PSD within tolerance")
             err.witness = vec
@@ -155,8 +157,8 @@ class BipartiteState:
     def mass(self) -> float:
         return float(np.real(np.trace(self.density)))
 
-    def normalized(self) -> "BipartiteState":
-        return BipartiteState(self.dims, self.density / self.mass)
+    def normalized(self, tol: Tolerances = DEFAULT_TOL) -> "BipartiteState":
+        return BipartiteState(self.dims, self.density / self.mass, tol)
 
 
 def choi_from_action(n: int, m: int, action) -> MatrixMap:

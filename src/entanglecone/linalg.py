@@ -209,13 +209,7 @@ def psd_verdicts(
     """Per matrix of x, one matrix or a stack ``(..., k, k)``: whether
     its least eigenvalue clears psd_floor, that eigenvalue and its unit
     eigenvector, all from one checked hermitian_eigen call."""
-    return _verdicts(as_matrix(x, stacked=True), tol)
-
-
-def _verdicts(
-    a: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    w, v, norm = _checked_eigen(a)
+    w, v, norm = _checked_eigen(as_matrix(x, stacked=True))
     low = w[..., -1]
     return low >= _floor(norm, tol), low, v[..., -1]
 
@@ -229,7 +223,7 @@ def is_psd(
     psd_floor, otherwise ``(False, v)`` where the unit vector ``v``
     satisfies ``<v, x v> < 0`` beyond slack.
     """
-    ok, _, vec = _verdicts(as_matrix(x), tol)
+    ok, _, vec = psd_verdicts(as_matrix(x), tol)
     return (True, None) if ok else (False, vec)
 
 

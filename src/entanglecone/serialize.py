@@ -20,6 +20,7 @@ import numpy as np
 from .blocks import SeparableEnsemble
 from .duality import BipartiteState, HolevoForm, MatrixMap, holevo_to_map, kraus_to_map
 from .errors import ParseError
+from .linalg import DEFAULT_TOL, Tolerances
 
 # The types json.load gives a JSON number; bool is not among them.
 _NUMBER = (int, float)
@@ -154,8 +155,10 @@ def state_to_json(s: BipartiteState) -> dict:
     }
 
 
-def state_document_from_json(obj) -> BipartiteState | SeparableEnsemble:
-    """Parse a state file: a density envelope or an ensemble envelope."""
+def state_document_from_json(
+    obj, tol: Tolerances = DEFAULT_TOL
+) -> BipartiteState | SeparableEnsemble:
+    """Parse a state file, a density or an ensemble envelope, at tol."""
     if not isinstance(obj, dict):
         raise ParseError("state document must be an object")
     dims = obj.get("dims")
@@ -166,7 +169,7 @@ def state_document_from_json(obj) -> BipartiteState | SeparableEnsemble:
     if repr_tag == "density":
         if "density" not in obj:
             raise ParseError("density repr requires a 'density' matrix")
-        return BipartiteState((n, m), matrix_from_json(obj["density"]))
+        return BipartiteState((n, m), matrix_from_json(obj["density"]), tol)
     if repr_tag == "ensemble":
         raw_terms = obj.get("terms")
         if not isinstance(raw_terms, list) or not raw_terms:
@@ -182,7 +185,7 @@ def state_document_from_json(obj) -> BipartiteState | SeparableEnsemble:
             except KeyError as exc:
                 raise ParseError("ensemble terms need 'weight', 'a' and 'b'") from exc
             terms.append((weight, a, b))
-        ens = SeparableEnsemble(tuple(terms))
+        ens = SeparableEnsemble(tuple(terms), tol)
         if ens.dims != (n, m):
             raise ParseError("ensemble factor shapes disagree with declared dims")
         return ens

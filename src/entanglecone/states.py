@@ -117,7 +117,8 @@ def witness_battery(
     other check comes from the one stacked spectrum of
     WitnessLibrary.verdicts: its first row, the second-factor partial
     transpose, gives the report's PPT verdict, least eigenvalue and
-    eigenvector, so a state that is not PPT is always caught.
+    eigenvector, so a state that is not PPT is always caught, and
+    certified by that row: the certificate is the first hit, or None.
 
     A separable certificate attached by the caller (states built from
     an explicit product ensemble) turns the verdict into
@@ -129,12 +130,12 @@ def witness_battery(
     the battery takes that route no second time; peres_equivalence does,
     and the test suite checks the theorem with it.
     """
-    # BipartiteState checked PSD at the default slack; the hits below use
-    # tol's, so a density that dips below that slack is no state.
+    # BipartiteState checked PSD at the slack it was given, by default not
+    # tol's; the hits below use tol's, so a density below it is no state.
     if s.min_eigenvalue < psd_floor(hermitian_part(s.density), tol):
         raise DomainError("state density is not PSD within tolerance")
     library = default_witness_library(s.dims[1])
-    ok, low, vec, first = library.verdicts(s.density, s.dims, tol)
+    ok, low, vec, _ = library.verdicts(s.density, s.dims, tol)
     ppt = bool(ok[0])
     hits = [
         WitnessHit(name, float(value), vector)
@@ -142,24 +143,14 @@ def witness_battery(
         if not passed
     ]
 
-    if separable_certificate and hits:
-        raise NumericalError(
-            "state with a separable certificate was detected by witness "
-            f"{hits[0].name}; one of the two must be wrong"
-        )
-
+    verdict = CERTIFIED_ENTANGLED if hits else INCONCLUSIVE
     if separable_certificate:
+        if hits:
+            raise NumericalError(
+                "state with a separable certificate was detected by witness "
+                f"{hits[0].name}; one of the two must be wrong"
+            )
         verdict = CERTIFIED_SEPARABLE
-        cert_name, cert_vec, cert_val = None, None, None
-    elif hits:
-        verdict = CERTIFIED_ENTANGLED
-        cert_name = first
-        cert_vec = hits[0].eigenvector
-        cert_val = hits[0].eigenvalue
-    else:
-        verdict = INCONCLUSIVE
-        cert_name, cert_vec, cert_val = None, None, None
-
     return StateReport(
         dims=s.dims,
         mass=s.mass,
@@ -167,9 +158,9 @@ def witness_battery(
         ppt_witness=None if ppt else vec[0],
         ppt_min_eigenvalue=float(low[0]),
         entanglement=verdict,
-        certificate_name=cert_name,
-        certificate_vector=cert_vec,
-        certificate_value=cert_val,
+        certificate_name=hits[0].name if hits else None,
+        certificate_vector=hits[0].eigenvector if hits else None,
+        certificate_value=hits[0].eigenvalue if hits else None,
         hits=tuple(hits),
         peres_crosscheck=True,
     )
@@ -274,9 +265,9 @@ def _dykstra(
 
     The stack advances in lockstep: each sweep makes one stacked eigh
     per cone over the matrices whose gap is still open, and a matrix
-    leaves the stack in the sweep that closes its gap; its projection,
-    final T(v) and sweep count are written out then, or at the cap,
-    and nowhere else. Every matrix
+    leaves the stack in the sweep that closes its gap, or in the sweep
+    at the cap, and its projection, final T(v) and sweep count are
+    written out then and nowhere else. Every matrix
     keeps its own Anderson history in a ring of _DYKSTRA_MEMORY rows,
     zero where unused, and the combinations of the whole stack come
     from one batched solve of the regularised normal equations
@@ -313,8 +304,8 @@ def _dykstra(
     still PSD exactly, but only lambda_min(x_pt) >= -r, so any quantity
     read from x_pt, such as a witness violation, may be off by O(r)
     from its value at a feasible point. _DYKSTRA_ITERATIONS is a safety
-    bound for a matrix that never closes its gap; reaching it is logged
-    with the number of matrices that did.
+    bound: the sweep at the cap is the last of every open matrix, and a
+    warning gives how many stayed open and the widest of their gaps.
 
     Neither the fixed points of T nor the certificate depend on the
     start; a start near the final correction only saves sweeps.
@@ -330,7 +321,7 @@ def _dykstra(
     out = np.empty_like(x0)
     final_tv = np.empty_like(x0)
     final_r = np.empty(count)
-    sweeps = np.full(count, _DYKSTRA_ITERATIONS, dtype=np.int64)
+    sweeps = np.empty(count, dtype=np.int64)
     v = correction.reshape(x0.shape)
     # Per matrix, differences of residuals and of T values over the last
     # sweeps, as real vectors: Anderson's combination has real
@@ -353,8 +344,16 @@ def _dykstra(
         r = np.sqrt(np.add.reduce(res * res, axis=1))
         norm = np.sqrt(np.add.reduce(w_pt * w_pt, axis=1))  # ||x_pt||_F
         closed = r <= exit_gap * np.maximum(1.0, norm)
-        if sweep == _DYKSTRA_ITERATIONS:
-            break
+        if sweep == _DYKSTRA_ITERATIONS and not closed.all():
+            logger.warning(
+                "Dykstra projection stopped at its cap of %d iterations in %d of "
+                "%d matrices, with gaps up to %.2e",
+                _DYKSTRA_ITERATIONS,
+                np.count_nonzero(~closed),
+                count,
+                r[~closed].max(),
+            )
+            closed[:] = True  # the cap sweep is the last of every matrix
         if closed.any():
             done = live[closed]
             out[done], final_tv[done], final_r[done] = x_pt[closed], tv[closed], r[closed]
@@ -395,18 +394,6 @@ def _dykstra(
         v_vec = tv_vec - (gamma.swapaxes(1, 2) @ d_tv)[:, 0]
         v = v_vec.view(np.complex128).reshape(x0.shape)
         prev_res, prev_tv, prev_r = res, tv_vec, r
-    if live.size:
-        # The loop stopped at the cap: these matrices keep its last sweep.
-        out[live], final_tv[live], final_r[live] = x_pt, tv, r
-        if not closed.all():
-            logger.warning(
-                "Dykstra projection stopped at its cap of %d iterations in %d of "
-                "%d matrices, with gaps up to %.2e",
-                _DYKSTRA_ITERATIONS,
-                np.count_nonzero(~closed),
-                count,
-                r[~closed].max(),
-            )
     out, final_tv = out.reshape(shape), final_tv.reshape(shape)
     return out, final_tv, final_r.reshape(lead), sweeps.reshape(lead)
 

@@ -367,6 +367,28 @@ def test_log_records_go_to_each_call_stderr(monkeypatch):
         assert err.getvalue().count("is completely positive") == 1
 
 
+def test_main_leaves_logging_configuration_alone(monkeypatch):
+    # As for a caller without logging configuration: the root logger has
+    # no handlers, so the warning reaches this call's stderr bare.
+    root = logging.getLogger()
+    handlers = []
+    monkeypatch.setattr(root, "handlers", handlers)
+    level = root.level
+    argv = [
+        "search-ppt-entangled", "identity2",
+        "--budget-restarts", "1", "--budget-iters", "1",
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 4
+    assert root.handlers is handlers and handlers == []
+    assert root.level == level
+    assert err.getvalue() == (
+        "witness identity2 is completely positive; every PPT state passes it "
+        "and the search cannot succeed\n"
+    )
+
+
 def test_choi_rejects_search_flags(capsys):
     assert main(["choi", "builtin:identity2", "--seed", "1"]) == 1
     capsys.readouterr()
@@ -638,6 +660,43 @@ def test_analyze_rejects_density_below_requested_slack(tmp_path, capsys):
     code, out = _run(capsys, ["analyze-state", path])
     assert code == 0
     assert json.loads(out)["entanglement"] == "inconclusive"
+
+
+def test_analyze_reads_the_density_at_the_requested_slack(tmp_path, capsys):
+    # A -1e-7 dip clears the density floor -1e-6 of --tol-psd 1e-6, not
+    # that of the default 1e-9, also where the density is read.
+    density = np.diag([-1e-7, 0.5 + 1e-7, 0.25, 0.25]).astype(complex)
+    doc = {"dims": [2, 2], "repr": "density", "density": matrix_to_json(density)}
+    path = _write(tmp_path / "dip.json", doc)
+    for extra in ([], ["--normalize"]):
+        code, out = _run(capsys, ["analyze-state", path, "--tol-psd", "1e-6", *extra])
+        assert code == 0
+        report = json.loads(out)
+        assert report["ppt"] is True and report["ppt_min_eigenvalue"] == -1e-7
+    for extra in (["--tol-psd", "1e-9"], []):
+        assert main(["analyze-state", path, *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: state density is not PSD within tolerance\n"
+
+
+def test_analyze_reads_ensemble_factors_at_the_requested_slack(tmp_path, capsys):
+    a = np.diag([1.0 + 1e-7, -1e-7]).astype(complex)
+    b = np.diag([1.0, 0.0]).astype(complex)
+    doc = {
+        "dims": [2, 2],
+        "repr": "ensemble",
+        "terms": [{"weight": 1.0, "a": matrix_to_json(a), "b": matrix_to_json(b)}],
+    }
+    path = _write(tmp_path / "dip.json", doc)
+    for extra in ([], ["--normalize"]):
+        code, out = _run(capsys, ["analyze-state", path, "--tol-psd", "1e-6", *extra])
+        assert code == 0
+        assert json.loads(out)["entanglement"] == "certified-separable"
+    assert main(["analyze-state", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ensemble factor a is not PSD\n"
 
 
 def _density_text(dims: list, density: np.ndarray) -> str:

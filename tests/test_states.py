@@ -459,6 +459,54 @@ def test_battery_density_and_ppt_verdicts_are_is_psd(
         assert report.ppt_witness.tobytes() == witness.tobytes() == vec.tobytes()
 
 
+def _alpha_state(alpha: float) -> np.ndarray:
+    """Horodecki's alpha state on 3x3: PPT for alpha <= 4, entangled for
+    alpha > 3, where the Choi map detects it."""
+    psi = np.eye(3, dtype=complex).reshape(9) / np.sqrt(3.0)
+    plus, minus = np.zeros(9), np.zeros(9)
+    plus[[1, 5, 6]] = minus[[3, 7, 2]] = 1.0 / 3.0  # |01>, |12>, |20> and swapped
+    mixed = np.diag(alpha * plus + (5.0 - alpha) * minus)
+    return (2.0 * np.outer(psi, psi.conj()) + mixed) / 7.0
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (1, 17)]),
+    kind=st.sampled_from(["mixture", "alpha", "product"]),
+    rank=st.integers(1, 4),
+    noise=st.floats(0.0, 1.0),
+    alpha=st.floats(2.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_battery_certificate_is_its_first_hit(dims, kind, rank, noise, alpha, seed):
+    # Covers no hit, a failing partial transpose first, and choi3 hits on
+    # PPT alpha states; product mixtures carry a separable certificate.
+    stream = derive_stream(seed, 0)
+    if kind == "alpha":
+        dims, h = (3, 3), _alpha_state(alpha)
+    elif kind == "product":
+        h = random_product_mixture(stream, *dims, rank)
+    else:
+        d = dims[0] * dims[1]
+        h = (1.0 - noise) * random_pure_mixture(stream, d, rank) + noise * np.eye(d) / d
+    separable = kind == "product"
+    report = witness_battery(BipartiteState(dims, h), separable_certificate=separable)
+    name, vector, value = (
+        report.certificate_name, report.certificate_vector, report.certificate_value
+    )
+    if report.hits:
+        first = report.hits[0]
+        assert name == first.name
+        assert vector.tobytes() == first.eigenvector.tobytes()
+        assert value.hex() == first.eigenvalue.hex()
+    else:
+        assert name is None and vector is None and value is None
+    assert (report.ppt_witness is None) == report.ppt
+    if not report.ppt:
+        assert report.certificate_name == f"transpose{dims[1]}"
+        assert report.ppt_witness.tobytes() == report.certificate_vector.tobytes()
+
+
 def test_random_pure_mixture_is_state():
     stream = derive_stream(407, 0)
     h = random_pure_mixture(stream, 4, 3)
@@ -642,15 +690,19 @@ def test_dykstra_cap_names_the_capped_slices(monkeypatch, caplog):
     cap = int(sweeps.max()) - 1
     monkeypatch.setattr(states, "_DYKSTRA_ITERATIONS", cap)
     with caplog.at_level(logging.WARNING, logger="entanglecone.states"):
-        out, _, _, capped_sweeps = _dykstra(x, (3, 3), np.zeros_like(x))
+        out, tv, r, capped_sweeps = _dykstra(x, (3, 3), np.zeros_like(x))
     assert any(
         f"cap of {cap} iterations in 1 of 4 matrices" in rec.message
         for rec in caplog.records
     )
     assert capped_sweeps.tolist() == np.minimum(sweeps, cap).tolist()
+    assert capped_sweeps[sweeps > cap].tolist() == [cap]
+    # The capped matrix leaves in the cap sweep as the others leave at
+    # their gaps: each result is that of the matrix alone, bit for bit.
     for k in range(4):
-        alone, *_ = _dykstra(x[k], (3, 3), np.zeros_like(x[k]))
-        assert np.array_equal(out[k], alone)
+        alone = _dykstra(x[k], (3, 3), np.zeros_like(x[k]))
+        for got, want in zip((out[k], tv[k], r[k], capped_sweeps[k]), alone):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def _sweep_locals(monkeypatch, x):

@@ -16,9 +16,10 @@ where the run is the workload's name, or ``states-tol1e-10``,
 ``states-tol1e-16`` for the last five. The ``classify`` jobs at the
 non-default slack cover the witness battery that classify-map runs on
 the state of a completely positive map. At 1e-16, 139 of the ``states``
-jobs exit 3: 46 at the battery's density check, which no other run
-reaches, and 93 at the support projection of ``decompose``. Job 1226 of seed 42 is a search whose winner's exact
-finish stops at the projection's iteration cap. The bench ``search``
+jobs exit 3: 46 at the PSD check of the density as it is read, which
+no other run fails, and 93 at the support projection of ``decompose``.
+Job 1226 of seed 42 is a search whose winner's exact finish stops at
+the projection's iteration cap. The bench ``search``
 jobs take 8 restarts x 1 step; ``search-default`` appends
 ``--budget-restarts 16 --budget-iters 200`` to four of them, which
 argparse reads over the job's own budget, so that a change to longer
@@ -28,14 +29,22 @@ job instead:
     <run> <k> <sha256 of job k's exit code and stdout>
 
 with k the job's index in its seed's job list. With ``--work`` it runs
-only the three search runs and prints, for each, the totals over its
+the three search runs and the ``classify`` and ``states`` runs, in that
+order of ``RUNS``. For each search run it prints the totals over its
 jobs of the counts in every search's DEBUG summary, and the least
 eigenvalues of the reported states h and PT(h) over its jobs, read
 from each job's stdout:
 
     <run> <jobs> ascent <sweeps> finish <sweeps> caps <hits> lmin <h> lmin-pt <PT(h)>
 
-where the sweeps are matrix-sweeps and the hits cap hits.
+where the sweeps are matrix-sweeps and the hits cap hits. For the
+``classify`` and ``states`` runs it prints the calls to
+``numpy.linalg.eigh`` and the matrices they diagonalised, by side k,
+counted by wrapping that function from outside the package:
+
+    <run> <jobs> eigh <calls> matrices <k>x<k>=<count>,...
+
+with the sides in ascending order.
 
 Unlike wall time, these figures are exact for fixed jobs, so two trees
 can be compared on one machine; the counts also across machines.
@@ -54,15 +63,19 @@ trees, so the comparison holds the inputs fixed.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
 import json
 import logging
+import math
 import re
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 # (run, workload, bench seed, job indices, arguments appended to every
@@ -95,7 +108,8 @@ def parse_args(argv):
     )
     mode.add_argument(
         "--work", action="store_true",
-        help="print the sweep and cap-hit totals of each search run instead",
+        help="print the search runs' sweep and cap-hit totals and the "
+        "classify and states runs' eigh counts instead",
     )
     return parser.parse_args(argv)
 
@@ -131,6 +145,25 @@ class _WorkTotals(logging.Handler):
             self.totals = [t + int(g) for t, g in zip(self.totals, match.groups())]
 
 
+class _EighCounts:
+    """Stands in for numpy.linalg.eigh: counts the calls and the matrices
+    of each side, then calls the real function."""
+
+    def __init__(self) -> None:
+        self.real = np.linalg.eigh
+        self.reset()
+
+    def reset(self) -> None:
+        self.calls = 0
+        self.sides = collections.Counter()
+
+    def __call__(self, a, *args, **kwargs):
+        shape = np.shape(a)
+        self.calls += 1
+        self.sides[shape[-1]] += math.prod(shape[:-2])
+        return self.real(a, *args, **kwargs)
+
+
 def outputs(cli, jobs, workload: str, seed: int, ks, extra: list[str], path: Path):
     """Each job's exit code line and stdout, as bytes, in job order."""
     for k in ks:
@@ -159,14 +192,13 @@ def main(argv=None) -> int:
         search_log = logging.getLogger("entanglecone.states")
         search_log.setLevel(logging.DEBUG)
         search_log.addHandler(work)
+        eigh = np.linalg.eigh = _EighCounts()
     with tempfile.TemporaryDirectory() as tmp:
         # One fixed file name, so no path differs between two runs.
         path = Path(tmp) / "input.json"
         for run, workload, seed, ks, extra in RUNS:
             outs = outputs(cli, jobs, workload, seed, ks, extra, path)
-            if args.work:
-                if workload != "search":
-                    continue
+            if args.work and workload == "search":
                 work.totals = [0, 0, 0]
                 low = low_pt = float("inf")
                 for out in outs:
@@ -181,6 +213,14 @@ def main(argv=None) -> int:
                     f"lmin {low:.3e} lmin-pt {low_pt:.3e}",
                     flush=True,
                 )
+            elif args.work:
+                if extra:  # only the classify and states runs at the default slack
+                    continue
+                eigh.reset()
+                for _ in outs:
+                    pass
+                sides = ",".join(f"{k}x{k}={eigh.sides[k]}" for k in sorted(eigh.sides))
+                print(f"{run} {len(ks)} eigh {eigh.calls} matrices {sides}", flush=True)
             elif args.per_job:
                 for k, out in zip(ks, outs):
                     print(f"{run} {k} {hashlib.sha256(out).hexdigest()}", flush=True)
