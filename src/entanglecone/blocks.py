@@ -50,8 +50,9 @@ logger = logging.getLogger(__name__)
 
 # Trace of a product of projections is near an integer; anything above
 # this is a genuine overlap, anything below is orthogonality. At the
-# bound of _validate_splitting_identity, an overlap that would break the
-# identity across a block boundary joins its terms into one block.
+# bound of the splitting identity, an overlap that would break the
+# identity across a block boundary joins its terms into one block; both
+# bounds rise to a looser PSD slack.
 _OVERLAP_THRESHOLD = 1e-9
 # Eigenvalue clusters are split at gaps larger than this fraction of
 # the spectral spread.
@@ -234,7 +235,8 @@ def decompose_separable(
     omega_i(e) omega_j(1-e) Tr(b_i b_j) = 0 across each block boundary.
     The weighted components sum to the ensemble's density by
     construction, since they regroup the same weighted products, so
-    that sum is not checked again.
+    that sum is not checked again. A tol looser than the default also
+    raises the 1e-9 overlap and identity bounds and the states' slack.
     """
     k = len(ens.terms)
     n, m = ens.dims
@@ -245,7 +247,7 @@ def decompose_separable(
     for factors in (a, b):
         supports = support_projection(factors, tol)
         overlap = np.einsum("ixy,jyx->ij", supports, supports).real
-        related |= overlap > _OVERLAP_THRESHOLD
+        related |= overlap > max(_OVERLAP_THRESHOLD, tol.psd_slack)
     # Square the relation until it stops growing: each term then reaches its
     # whole component, whose smallest term (the row's first True) is the root
     # and orders the components; label[i] is term i's component.
@@ -280,15 +282,17 @@ def decompose_separable(
     if (outside > 1e-8).any():
         raise NumericalError("component support does not contain one of its terms")
 
-    _validate_splitting_identity(a, b, e)
+    if (np.abs(_splitting_identity(a, b, e)) > max(1e-9, tol.psd_slack)).any():
+        raise NumericalError("splitting identity violated across a block boundary")
 
+    loose = max(tol, DEFAULT_TOL, key=lambda t: t.psd_slack)
     components = tuple(
         BlockComponent(
             tuple(np.flatnonzero(label == s).tolist()),
             e[s],
             f[s],
             float(weight[s]),
-            BipartiteState((n, m), density[s]),
+            BipartiteState((n, m), density[s], loose),
         )
         for s in range(c)
     )
@@ -300,21 +304,17 @@ def decompose_separable(
     return BlockDecomposition(components, max_cross)
 
 
-def _validate_splitting_identity(a: np.ndarray, b: np.ndarray, e: np.ndarray) -> None:
-    """The boundary identity omega_i(e) omega_j(1-e) Tr(b_i b_j) ~ 0.
-
-    This is the consequence of the splitting theorem that the
-    construction actually guarantees; it must hold for every component
-    projection e[c] against every pair of terms (a_i, b_i), (a_j, b_j),
-    checked as one (c, k, k) array.
+def _splitting_identity(a: np.ndarray, b: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The boundary terms omega_i(e) omega_j(1-e) Tr(b_i b_j) as one
+    (c, k, k) array: that they vanish for every component projection e[c]
+    and pair of terms is the consequence of the splitting theorem that
+    the construction actually guarantees.
     """
     complement = np.eye(a.shape[-1]) - e
     omega_e = np.einsum("cxy,iyx->ci", e, a).real
     omega_f = np.einsum("cxy,jyx->cj", complement, a).real
     cross = np.einsum("ixy,jyx->ij", b, b).real
-    identity = omega_e[:, :, None] * omega_f[:, None, :] * cross
-    if (np.abs(identity) > 1e-9).any():
-        raise NumericalError("splitting identity violated across a block boundary")
+    return omega_e[:, :, None] * omega_f[:, None, :] * cross
 
 
 def hermitian_basis(n: int) -> list[np.ndarray]:

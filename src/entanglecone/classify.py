@@ -32,7 +32,7 @@ from .linalg import (
     CONVERGENCE,
     DEFAULT_TOL,
     Tolerances,
-    as_matrix,
+    check_bipartite,
     frob,
     hermitian_part,
     is_psd,
@@ -187,9 +187,7 @@ def block_positivity_minimize(
     logger summarises the run.
     """
     n, m = dims
-    c = as_matrix(c)
-    if c.shape != (n * m, n * m):
-        raise DomainError(f"matrix shape {c.shape} does not match dims {dims}")
+    c = check_bipartite(c, dims)
     c4 = c.reshape(n, m, n, m)
     scale = max(1.0, frob(c))
 
@@ -400,6 +398,7 @@ class WitnessLibrary:
         evaluates it; and the name of the first row that fails, or None:
         the certificate the state battery and classify_map report."""
         n, m = dims
+        density = check_bipartite(density, dims)
         stack = transpose_second(density, dims)[np.newaxis]
         if self.entries:
             x4 = density.reshape(n, m, n, m)

@@ -25,7 +25,6 @@ from .serialize import (
     matrix_from_json,
     report_to_json,
     state_document_from_json,
-    state_to_json,
     to_text,
 )
 from .states import SEARCH_BUDGET, search_ppt_entangled, witness_battery
@@ -205,7 +204,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    parsed = state_document_from_json(load_json_file(args.ensemble))
+    parsed = state_document_from_json(load_json_file(args.ensemble), args.tol)
     if not isinstance(parsed, SeparableEnsemble):
         raise ParseError("decompose requires a state file with ensemble repr")
     result = decompose_separable(parsed, args.tol)
@@ -223,7 +222,8 @@ def _cmd_search(args) -> int:
         tol=args.tol,
         witness_name=args.witness,
     )
-    _emit(report_to_json(result), args, state_to_json(result.state))
+    doc = report_to_json(result)
+    _emit(doc, args, doc["state"])
     if result.violation >= FOUND_VIOLATION and result.converged:
         return EXIT_OK
     return EXIT_NOT_FOUND

@@ -28,9 +28,9 @@ from .linalg import (
     e_matrix,
     frob,
     hermitian_deviation,
-    is_psd,
     kron,
     psd_verdicts,
+    raise_first_fault,
 )
 
 # Cap on n*m, the side of a map's Choi matrix, checked before the Choi
@@ -59,7 +59,10 @@ class HolevoForm:
     Each term is a pair ``(omega, b)`` of PSD matrices, ``omega`` acting
     on the input algebra and ``b`` sitting in the output algebra. Maps
     of this shape are exactly the entanglement breaking ones, so holding
-    a HolevoForm is a separability certificate in itself.
+    a HolevoForm is a separability certificate in itself. As for a
+    SeparableEnsemble, every term is coerced and the terms must share one
+    shape; then one spectrum per side checks them all, and the first
+    failing term reports: omega not PSD, then b not PSD, then b zero.
     """
 
     terms: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -67,23 +70,15 @@ class HolevoForm:
     def __post_init__(self) -> None:
         if not self.terms:
             raise DomainError("a Holevo form needs at least one term")
-        checked = []
-        n = m = None
-        # The first failing term reports: its shape, then omega, then b.
-        for omega, b in self.terms:
-            omega = as_matrix(omega)
-            b = as_matrix(b)
-            n = n or omega.shape[0]
-            m = m or b.shape[0]
-            if omega.shape[0] != n or b.shape[0] != m:
-                raise DimensionError("inconsistent term dimensions in Holevo form")
-            for part, label in ((omega, "omega"), (b, "b")):
-                if not is_psd(part)[0]:
-                    raise DomainError(f"Holevo term {label} is not PSD")
-            if frob(b) == 0.0:
-                raise DomainError("Holevo term b must be nonzero")
-            checked.append((omega, b))
-        self.terms = tuple(checked)
+        self.terms = tuple((as_matrix(omega), as_matrix(b)) for omega, b in self.terms)
+        if len({(omega.shape, b.shape) for omega, b in self.terms}) > 1:
+            raise DimensionError("inconsistent term dimensions in Holevo form")
+        omega, b = (np.stack(side) for side in zip(*self.terms))
+        raise_first_fault([
+            (~psd_verdicts(omega)[0], "Holevo term omega is not PSD"),
+            (~psd_verdicts(b)[0], "Holevo term b is not PSD"),
+            (np.linalg.norm(b, axis=(-2, -1)) == 0.0, "Holevo term b must be nonzero"),
+        ])
 
     @property
     def dim_in(self) -> int:
@@ -113,11 +108,7 @@ class MatrixMap:
         if n < 1 or m < 1:
             raise DimensionError("map dimensions must be positive")
         _check_choi_size(n, m)
-        self.choi = as_matrix(self.choi)
-        if self.choi.shape != (n * m, n * m):
-            raise DimensionError(
-                f"Choi matrix shape {self.choi.shape} does not match dims ({n}, {m})"
-            )
+        self.choi = check_bipartite(self.choi, (n, m))
         scale = max(1.0, frob(self.choi))
         if hermitian_deviation(self.choi) > DEFAULT_TOL.psd_slack * scale:
             raise DomainError("Choi matrix is not Hermitian within tolerance")
@@ -191,14 +182,15 @@ def apply_to_second(
 ) -> np.ndarray:
     """Evaluate (id (x) phi)(x) on an operator over M_n (x) M_m.
 
-    A stack ``(..., nm, nm)`` is mapped matrix by matrix.
+    A stack ``(..., nm, nm)`` is mapped matrix by matrix. Raises
+    DimensionError unless x acts on the n x m composite and phi on M_m.
     """
     n, m = dims
     if f.dim_in != m:
         raise DimensionError(
             f"map input dimension {f.dim_in} does not match second factor {m}"
         )
-    a = as_matrix(x, stacked=True)
+    a = check_bipartite(x, dims, stacked=True)
     lead = a.shape[:-2]
     x4 = a.reshape(lead + (n, m, n, m))
     out4 = np.einsum("...ikjl,kalb->...iajb", x4, f.choi4())

@@ -223,12 +223,6 @@ def _proj_psd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (v * w[..., np.newaxis, :]) @ v.conj().swapaxes(-1, -2), w
 
 
-def _frob_each(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack; a matrix gets the same
-    bits alone as inside any stack."""
-    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1)))
-
-
 def _dykstra(
     x: np.ndarray,
     dims: tuple[int, int],
@@ -525,7 +519,7 @@ def search_ppt_entangled(
                 adjoint,
             )
         )
-        grad_norm = _frob_each(grad)
+        grad_norm = np.linalg.norm(grad, axis=(-2, -1))
         before = viol[active]
         # Rows of `active` still without an improving step.
         looking = np.ones(active.size, dtype=bool)

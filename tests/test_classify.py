@@ -31,7 +31,7 @@ from entanglecone.duality import (
     state_from_map,
     transpose_map,
 )
-from entanglecone.errors import DomainError, NumericalError
+from entanglecone.errors import DimensionError, DomainError, NumericalError
 from entanglecone.linalg import (
     CONVERGENCE,
     DEFAULT_TOL,
@@ -124,6 +124,13 @@ def test_block_minimum_swap_closed_form():
     swap = partial_transpose(maximally_entangled_matrix(2), (2, 2), "second")
     result = block_positivity_minimize(swap, (2, 2), _FAST, seed=0)
     assert -1e-12 < result.value < 1e-9
+
+
+def test_operands_of_another_size_raise_dimension_error():
+    with pytest.raises(DimensionError, match="does not act on a 3x3 composite"):
+        default_witness_library(3).verdicts(np.eye(8) / 8.0, (3, 3))
+    with pytest.raises(DimensionError, match="does not act on a 3x3 composite"):
+        block_positivity_minimize(np.eye(8), (3, 3), _FAST)
 
 
 def test_block_minimum_budget_monotone():

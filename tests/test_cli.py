@@ -232,7 +232,8 @@ def test_decompose_two_blocks(tmp_path, capsys):
 def test_decompose_joins_terms_overlapping_above_the_identity_bound(tmp_path, capsys):
     # The b factors overlap by |<u|v>|^2 = 5e-9, above the splitting
     # identity's 1e-9 bound: in two blocks the terms would break that
-    # identity, so the overlap relation joins them into one.
+    # identity, so the overlap relation joins them into one. Under
+    # --tol-psd 1e-6 both bounds are 1e-6, and the terms split.
     u = np.array([1.0, 0.0])
     v = np.array([np.sqrt(5e-9), np.sqrt(1.0 - 5e-9)])
     ens = SeparableEnsemble(
@@ -246,6 +247,9 @@ def test_decompose_joins_terms_overlapping_above_the_identity_bound(tmp_path, ca
     assert code == 0
     (component,) = json.loads(out)["components"]
     assert component["indices"] == [0, 1]
+    code, out = _run(capsys, ["decompose", path, "--tol-psd", "1e-6"])
+    assert code == 0
+    assert [c["indices"] for c in json.loads(out)["components"]] == [[0], [1]]
 
 
 def test_decompose_rejects_density_repr(tmp_path, capsys):
@@ -280,9 +284,9 @@ def test_search_decomposable_witness_not_found(tmp_path, capsys):
     assert code == 4
     doc = json.loads(out)
     assert doc["violation"] <= 1e-9
-    written = state_document_from_json(
-        json.loads(out_path.read_text(encoding="utf-8"))
-    )
+    saved = json.loads(out_path.read_text(encoding="utf-8"))
+    assert saved == doc["state"]
+    written = state_document_from_json(saved)
     assert isinstance(written, BipartiteState)
     assert written.dims == (2, 2)
 
@@ -697,6 +701,37 @@ def test_analyze_reads_ensemble_factors_at_the_requested_slack(tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: ensemble factor a is not PSD\n"
+
+
+def test_decompose_reads_its_ensemble_at_the_requested_slack(tmp_path, capsys):
+    # Factor a of the first term dips 5e-9 below zero: within --tol-psd
+    # 1e-6, not within the default 1e-9. analyze-state agrees at each slack.
+    a = np.diag([1.0 + 5e-9, -5e-9]).astype(complex)
+    e11 = np.diag([1.0, 0.0]).astype(complex)
+    e22 = np.diag([0.0, 1.0]).astype(complex)
+    doc = {
+        "dims": [2, 2],
+        "repr": "ensemble",
+        "terms": [
+            {"weight": 0.5, "a": matrix_to_json(x), "b": matrix_to_json(y)}
+            for x, y in ((a, e11), (e22, e22))
+        ],
+    }
+    path = _write(tmp_path / "dip.json", doc)
+    for slack in ("1e-6", "1e-4"):
+        code, out = _run(capsys, ["decompose", path, "--tol-psd", slack])
+        assert code == 0
+        report = json.loads(out)
+        assert [c["indices"] for c in report["components"]] == [[0], [1]]
+        assert report["max_cross_overlap"] == 0.0
+        code, _ = _run(capsys, ["analyze-state", path, "--tol-psd", slack])
+        assert code == 0
+    for extra in (["--tol-psd", "1e-9"], []):
+        for command in ("decompose", "analyze-state"):
+            assert main([command, path, *extra]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: ensemble factor a is not PSD\n"
 
 
 def _density_text(dims: list, density: np.ndarray) -> str:

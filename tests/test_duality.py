@@ -352,6 +352,12 @@ def test_apply_to_second_identity_and_transpose():
     assert frob(pt - partial_transpose(h, (2, 2), "second")) < 1e-14
 
 
+def test_apply_to_second_rejects_an_operand_of_another_size():
+    for x in (np.eye(5), np.zeros((2, 5, 5))):
+        with pytest.raises(DimensionError, match="does not act on a 2x3 composite"):
+            apply_to_second(x, (2, 3), identity_map(3))
+
+
 def test_maximally_entangled_properties():
     p = maximally_entangled_matrix(3)
     assert abs(np.trace(p).real - 3.0) < 1e-13
@@ -372,7 +378,7 @@ def test_matrixmap_validates_hermiticity():
 
 
 def test_matrixmap_rejects_wrong_size():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="does not act on a 2x3 composite"):
         MatrixMap(2, 3, np.eye(4, dtype=complex))
 
 
@@ -430,9 +436,12 @@ _ZERO = np.zeros((2, 2), dtype=complex)
         (((_EYE2, _EYE2), (_EYE2, _INDEFINITE), (_INDEFINITE, _EYE2)),
          DomainError, "term b is not PSD"),
         (((_EYE2, _ZERO), (_INDEFINITE, _EYE2)), DomainError, "b must be nonzero"),
-        (((_EYE2, _INDEFINITE), (np.eye(3), _EYE2)), DomainError, "term b is not PSD"),
+        # A shape fault in any term reports before a PSD fault in any term,
+        # as for a SeparableEnsemble.
+        (((_EYE2, _INDEFINITE), (np.eye(3), _EYE2)),
+         DimensionError, "inconsistent term dimensions"),
         (((_EYE2, _INDEFINITE), (np.ones((2, 3)), _EYE2)),
-         DomainError, "term b is not PSD"),
+         DimensionError, "expected a square matrix"),
         (((_EYE2, _EYE2), (np.eye(3), _EYE2), (_INDEFINITE, _EYE2)),
          DimensionError, "inconsistent term dimensions"),
         # Within one term: omega, then b, then b nonzero.
@@ -444,3 +453,11 @@ _ZERO = np.zeros((2, 2), dtype=complex)
 def test_holevo_form_reports_its_first_failing_term(terms, error, message):
     with pytest.raises(error, match=message):
         HolevoForm(terms)
+
+
+@pytest.mark.parametrize("k", [1, 4, 16])
+def test_holevo_form_takes_one_spectrum_per_side(eigh_inputs, k):
+    stream = derive_stream(231, k)
+    terms = tuple((random_density(stream, 2), random_density(stream, 3)) for _ in range(k))
+    HolevoForm(terms)
+    assert [a.shape for a in eigh_inputs] == [(k, 2, 2), (k, 3, 3)]

@@ -861,7 +861,7 @@ def _per_restart_search(witness, budget, seed):
             step = states._ASCENT_STEP
             for _ in range(states._MAX_HALVINGS):
                 x = h + step * grad
-                length = step * states._frob_each(grad)
+                length = step * np.linalg.norm(grad, axis=(-2, -1))
                 gap = max(states._DYKSTRA_GAP, states._ASCENT_GAP_RATIO * length)
                 cand, correction, _, _ = _dykstra(x, dims, correction, gap)
                 trace = np.real(np.trace(cand))
